@@ -106,10 +106,10 @@ RECORD_STATS = RecordStats()
 # - ``"v1"`` — the PR 2/4 kernels, preserved verbatim.  This is the
 #   honest baseline the lowering benchmark compares against.
 # - ``"v2"`` (default) — the fused/flattened kernels: batched GEMMs
-#   flattened to single BLAS calls, transposed im2col layout with
-#   vectorized tap copies, two-pass separable pooling, the fused
-#   LayerNorm chain, preallocated sink temporaries, and kernel scratch
-#   leased from a per-plan pool instead of private per-kernel arrays.
+#   flattened to single BLAS calls, the whole RegionSA correlation chain
+#   as one pooled-tap kernel pair, the fused LayerNorm chain,
+#   preallocated sink temporaries, and kernel scratch leased from a
+#   per-plan pool instead of private per-kernel arrays.
 #
 # ``backend`` selects how the flat kernel list is replayed:
 #
@@ -237,12 +237,12 @@ class _BuildContext:
 
     Carries the resolved lowering level and worker count, and owns the
     *kernel scratch lease pool*: v2 kernels that need private temporaries
-    (conv backward's ``gcols``/``gpadded``, the fused chains' column
-    buffers, accumulate-path products) lease them by (shape, dtype, tag)
-    instead of allocating per kernel.  Kernel scratch is dead outside its
-    own kernel and kernels replay one at a time, so every same-shaped
-    lease shares one buffer; threaded slices that need disjoint scratch
-    distinguish themselves with ``tag``.
+    (the RegionSA chain's box, plane and gradient buffers, the fused
+    LayerNorm rows, accumulate-path products) lease them by (shape,
+    dtype, tag) instead of allocating per kernel.  Kernel scratch is
+    dead outside its own kernel and kernels replay one at a time, so
+    every same-shaped lease shares one buffer; threaded slices that need
+    disjoint scratch distinguish themselves with ``tag``.
     """
 
     KEY = "__build__"   # scratch-dict key (node keys are ints, no clash)
@@ -542,50 +542,9 @@ def _fwd_dropout(node, scratch):
     return run
 
 
-def _fwd_conv2d_v2(node, scratch):
-    # Lowered layout: the patch matrix is kept transposed and contiguous
-    # as colsT (C·k·k, H·W), filled by k·k contiguous tap copies instead
-    # of one big strided gather.  The forward GEMM flat_w @ colsT computes
-    # the same dot products as the v1 transposed path bit-for-bit.
-    kernel, pad, batched, eager_cols = node._ctx
-    x = node._prev[0].data
-    weight = node._prev[1].data
-    bias = node._prev[2].data if len(node._prev) > 2 else None
-    out = node.data
-    data4 = x if batched else x[None]
-    batch, channels, height, width = data4.shape
-    out_channels = weight.shape[0]
-    ckk = channels * kernel * kernel
-    hw = height * width
-    padded = np.zeros((batch, channels, height + 2 * pad, width + 2 * pad),
-                      dtype=x.dtype)
-    inner = padded[:, :, pad:pad + height, pad:pad + width]
-    colsT = np.empty((ckk, hw), dtype=x.dtype)
-    colsT5 = colsT.reshape(channels, kernel, kernel, height, width)
-    if eager_cols is not None:
-        # Seed from the eager im2col buffer so the recording step's
-        # backward (which runs before any lowered forward) reads the
-        # exact patch matrix the eager forward produced.
-        colsT5[:] = eager_cols.reshape(
-            height, width, channels, kernel, kernel).transpose(2, 3, 4, 0, 1)
-    scratch[id(node)] = ("colsT", colsT)
-    flat_w = weight.reshape(out_channels, -1)
-    out4 = out if batched else out[None]
-    out_flat = out4.reshape(out_channels, hw)
-
-    def run():
-        np.copyto(inner, data4)
-        for ky in range(kernel):
-            for kx in range(kernel):
-                np.copyto(colsT5[:, ky, kx],
-                          padded[0, :, ky:ky + height, kx:kx + width])
-        np.matmul(flat_w, colsT, out=out_flat)
-        if bias is not None:
-            np.add(out_flat, bias[:, None], out=out_flat)
-    return run
-
-
 def _fwd_conv2d(node, scratch):
+    # Both lowerings: under v2 RegionSA's conv replays inside the
+    # pooled-tap chain kernel instead, so only other convolutions get here.
     kernel, pad, batched, eager_cols = node._ctx
     x = node._prev[0].data
     weight = node._prev[1].data
@@ -594,9 +553,6 @@ def _fwd_conv2d(node, scratch):
     data4 = x if batched else x[None]
     batch, channels, height, width = data4.shape
     out_channels = weight.shape[0]
-    out4_probe = out if batched else out[None]
-    if _is_v2(scratch) and batch == 1 and out4_probe.flags.c_contiguous:
-        return _fwd_conv2d_v2(node, scratch)
     padded = np.zeros((batch, channels, height + 2 * pad, width + 2 * pad),
                       dtype=x.dtype)
     inner = padded[:, :, pad:pad + height, pad:pad + width]
@@ -1127,82 +1083,6 @@ def _bwd_dropout(node, grads, written, scratch):
     return lambda: np.add(pg, g * mask, out=pg)
 
 
-def _bwd_conv2d_v2(node, grads, written, scratch, colsT):
-    # Backward for the lowered colsT layout.  All three gradient GEMMs
-    # read the transposed patch matrix directly; the col2im scatter and
-    # the dX column buffer run through leased kernel scratch, so every
-    # conv node in the plan shares one gcolsT/gpadded allocation.
-    kernel, pad, batched, _ = node._ctx
-    g = grads[id(node)]
-    x_t, w_t = node._prev[0], node._prev[1]
-    bias_t = node._prev[2] if len(node._prev) > 2 else None
-    x, weight = x_t.data, w_t.data
-    data4_shape = x.shape if batched else (1,) + x.shape
-    batch, channels, height, width = data4_shape
-    out_channels = weight.shape[0]
-    ckk = channels * kernel * kernel
-    hw = height * width
-    flat_w = weight.reshape(out_channels, -1)
-    g4 = g if batched else g[None]
-    if g4.flags.c_contiguous:
-        g_om = g4.reshape(out_channels, hw)
-        pre = None
-    else:
-        g_om = _lease(scratch, (out_channels, hw), g.dtype, "conv_g")
-        g_om4 = g_om.reshape(g4.shape)
-
-        def pre():
-            np.copyto(g_om4, g4)
-    runs = []
-    if w_t.requires_grad:
-        wg = grads[id(w_t)]
-        store = _mark(written, id(w_t))
-        wg_flat = wg.reshape(out_channels, -1)
-        colsT_T = colsT.T
-        if store:
-            runs.append(lambda: np.matmul(g_om, colsT_T, out=wg_flat))
-        else:
-            wg_tmp = _lease(scratch, wg_flat.shape, wg.dtype, "conv_wg")
-
-            def acc_w():
-                np.matmul(g_om, colsT_T, out=wg_tmp)
-                np.add(wg_flat, wg_tmp, out=wg_flat)
-            runs.append(acc_w)
-    if bias_t is not None and bias_t.requires_grad:
-        sink = _contrib_sink(grads[id(bias_t)], (out_channels,),
-                             _mark(written, id(bias_t)))
-        runs.append(lambda: sink(g_om.sum(axis=1)))
-    if x_t.requires_grad:
-        pg = grads[id(x_t)]
-        store = _mark(written, id(x_t))
-        gcolsT = _lease(scratch, (ckk, hw), g.dtype, "conv_gcols")
-        gcolsT5 = gcolsT.reshape(channels, kernel, kernel, height, width)
-        gpadded = _lease(scratch, (batch, channels, height + 2 * pad,
-                                   width + 2 * pad), g.dtype, "conv_gpad")
-        crop = (gpadded[:, :, pad:-pad, pad:-pad] if pad else gpadded)
-
-        def run_x():
-            np.matmul(flat_w.T, g_om, out=gcolsT)
-            gpadded.fill(0.0)
-            for ky in range(kernel):
-                for kx in range(kernel):
-                    gpadded[0, :, ky:ky + height, kx:kx + width] += \
-                        gcolsT5[:, ky, kx]
-            contrib = crop if batched else crop[0]
-            if store:
-                np.copyto(pg, contrib)
-            else:
-                np.add(pg, contrib, out=pg)
-        runs.append(run_x)
-
-    def run():
-        if pre is not None:
-            pre()
-        for fn in runs:
-            fn()
-    return run
-
-
 def _bwd_conv2d(node, grads, written, scratch):
     kernel, pad, batched, _ = node._ctx
     g = grads[id(node)]
@@ -1210,8 +1090,6 @@ def _bwd_conv2d(node, grads, written, scratch):
     bias_t = node._prev[2] if len(node._prev) > 2 else None
     x, weight = x_t.data, w_t.data
     cols = scratch[id(node)]
-    if isinstance(cols, tuple):
-        return _bwd_conv2d_v2(node, grads, written, scratch, cols[1])
     data4_shape = x.shape if batched else (1,) + x.shape
     batch, channels, height, width = data4_shape
     out_channels = weight.shape[0]
@@ -1322,27 +1200,77 @@ def _bwd_avgpool2d(node, grads, written, scratch):
 
 
 # ----------------------------------------------------------------------
-# Gate-chain fusion (RegionSA Eq. 13-14): AvgPool2d -> softmax -> ⊙
+# Gate-chain fusion (RegionSA Eq. 13-14)
 # ----------------------------------------------------------------------
 #
-# The (c, n, n) correlation path is pure memory bandwidth: pool, gate
-# softmax and the A' ⊙ softmax(A') product each sweep a multi-megabyte
-# array that was just written.  Fusing the three ops into one
-# channel-blocked kernel keeps the per-channel intermediates close to
-# cache, and the 3x3 pool becomes two separable 3-tap passes.  Channels
-# are independent for all three ops and the softmax rows are reduced
-# per row either way, so the only deviation from the eager arithmetic
-# is the re-association of the 9 pool additions (≈1e-16 relative
-# rounding, covered by the ≤1e-8 parity budget).  The pattern is
-# matched conservatively (each intermediate consumed only inside the
-# chain); anything else falls back to the generic per-op kernels.
+# RegionSA's correlation path — conv2d(1→c, 3x3) -> avgpool2d(3) ->
+# [+ additive key mask] -> softmax(-1) -> ⊙ -> sum(axis=-3) -> ×1/c —
+# is memory bound: at the paper's c=32 every op sweeps a (c, n, n) array
+# that was just written.  One n×n plane already fits in L2 (130 KB at
+# n=180 in float32), so tiling rows buys nothing; the only lever is
+# making fewer passes.
+#
+# v2 lowers the whole chain to one kernel pair (_RegionFusion).  Conv
+# and pool are both linear, so
+#
+#     pool(conv(A)) = ([W | b] / 9) · Q
+#
+# where Q stacks the nine *pooled taps* of A — tap (ky, kx) is the
+# same-padded 3x3 window sum of the conv's (ky, kx)-shifted input — and
+# the window counts 9·pool(1) as the bias row.  One K=10 GEMM writes A'
+# in place of the conv GEMM plus c per-channel pools (and, backward,
+# their adjoints), and the nine taps come from one extended box of A
+# (_pooled_taps).  Per channel the kernel then runs the gate softmax and
+# ⊙ and accumulates the channel mean in channel order, so neither the
+# conv output nor A' ⊙ softmax(A') is ever a buffer.  The backward kernel
+# reads the (n, n) mean gradient directly in each channel's softmax/⊙
+# adjoint, then forms [dW | db] = dA'·Qᵀ / 9 and dA as the tap builder's
+# adjoint of Wᵀ·dA' / 9.
+#
+# v1 keeps the original kernels (_GateFusion): conv, the channel sum and its
+# scale replay as generic kernels and only pool -> softmax -> ⊙ fuses,
+# into a channel-blocked pair whose 3x3 pool is two separable 3-tap
+# passes.  v2 falls back to that pair for a gate chain that is not a
+# whole RegionSA chain.
+#
+# Channels are independent and softmax rows reduce per row either way,
+# so the only deviations from the eager arithmetic are re-associations
+# (the order of the pooled additions, the 1/9 riding on the weights, the
+# factored softmax/⊙ adjoint): ≈1e-16 relative rounding in float64,
+# inside the ≤1e-8 parity budget but not bitwise.  Patterns are matched
+# conservatively (each intermediate consumed only inside the chain);
+# anything else falls back to the generic per-op kernels.
 #
 # The masked variant — softmax(A' + additive_key_mask) from the padded
 # batches of the execution engine — fuses too: the additive mask is a
 # constant (..., 1, 1, n) leaf, the extra ``add`` is folded into the
-# per-channel softmax (its backward into the pool input is the identity),
-# and the gradient never touches the mask, so the backward kernel is the
-# unmasked one verbatim.
+# per-channel softmax (its backward into the pool input is the
+# identity), and the gradient never touches the mask, so both backward
+# kernels are the unmasked ones verbatim.
+#
+# Every fusion exposes the same build interface: ``head`` / ``bwd_head``
+# (the nodes whose tape positions emit the fused forward / backward
+# kernel), ``fused_away`` / ``bwd_fused_away`` (nodes whose generic
+# kernels it replaces), ``inference_dead`` (buffers a forward-only plan
+# never materializes), ``written_at_head`` (buffers the forward kernel
+# fills, born at the head in a forward-only plan), ``traffic_nodes`` and
+# ``grad_targets``.
+
+
+def _consumers(nodes: list[Tensor]) -> dict[int, list[Tensor]]:
+    """id(tensor) -> the recorded nodes that read it, in tape order."""
+    consumers: dict[int, list[Tensor]] = {}
+    for n in nodes:
+        for p in n._prev:
+            consumers.setdefault(id(p), []).append(n)
+    return consumers
+
+
+def _const_scalar(t: Tensor) -> bool:
+    """A constant 0-d leaf (a python scalar operand on the tape)."""
+    return (not t._prev and not t.requires_grad
+            and getattr(t.data, "ndim", None) == 0)
+
 
 class _GateFusion(NamedTuple):
     """One fusable pool -> [+mask] -> softmax -> ⊙ chain."""
@@ -1354,10 +1282,30 @@ class _GateFusion(NamedTuple):
     mask: Tensor | None   # constant additive-mask leaf, read-only
 
     @property
+    def head(self) -> Tensor:
+        return self.pool
+
+    @property
+    def bwd_head(self) -> Tensor:
+        return self.mul
+
+    @property
     def fused_away(self) -> tuple[Tensor, ...]:
-        """Interior nodes whose generic kernels the fusion replaces."""
         return (self.gate, self.mul) if self.add is None else \
             (self.gate, self.mul, self.add)
+
+    @property
+    def bwd_fused_away(self) -> tuple[Tensor, ...]:
+        return (self.pool, self.gate) if self.add is None else \
+            (self.pool, self.gate, self.add)
+
+    @property
+    def inference_dead(self) -> tuple[Tensor, ...]:
+        return () if self.add is None else (self.add,)
+
+    @property
+    def written_at_head(self) -> tuple[Tensor, ...]:
+        return (self.gate, self.mul)
 
     @property
     def traffic_nodes(self) -> tuple[Tensor, ...]:
@@ -1373,10 +1321,7 @@ class _GateFusion(NamedTuple):
 
 
 def _find_gate_fusions(nodes: list[Tensor]) -> list[_GateFusion]:
-    consumers: dict[int, list[Tensor]] = {}
-    for n in nodes:
-        for p in n._prev:
-            consumers.setdefault(id(p), []).append(n)
+    consumers = _consumers(nodes)
     fusions = []
     for mul in nodes:
         if mul._op != "mul" or len(mul._prev) != 2:
@@ -1439,23 +1384,8 @@ def _separable_avg3(src, dst, colbuf, scale):
     np.multiply(dst, scale, out=dst)
 
 
-def _separable_avg3_v2(src, dst, colbuf, scale):
-    """The v2 lowering of :func:`_separable_avg3`: same 3-tap operator,
-    same per-element addition order (``x[i] + x[i-1]``, then ``+
-    x[i+1]``), so the result is *bitwise* identical — but each pass
-    starts from a fused two-operand add instead of a full copy followed
-    by an in-place add, saving one full sweep of the array per pass."""
-    np.add(src[..., 1:, :], src[..., :-1, :], out=colbuf[..., 1:, :])
-    np.copyto(colbuf[..., :1, :], src[..., :1, :])
-    colbuf[..., :-1, :] += src[..., 1:, :]
-    np.add(colbuf[..., :, 1:], colbuf[..., :, :-1], out=dst[..., :, 1:])
-    np.copyto(dst[..., :, :1], colbuf[..., :, :1])
-    dst[..., :, :-1] += colbuf[..., :, 1:]
-    np.multiply(dst, scale, out=dst)
-
-
 def _fused_gate_forward(fusion: _GateFusion, scratch,
-                        channel_range=None, tag=0):
+                        channel_range=None):
     pool, gate_n, mul_n = fusion.pool, fusion.gate, fusion.mul
     x = pool._prev[0].data
     corr, gate, gated = pool.data, gate_n.data, mul_n.data
@@ -1465,18 +1395,13 @@ def _fused_gate_forward(fusion: _GateFusion, scratch,
     height, width = x.shape[-2:]
     channels = channel_range or range(x.shape[-3])
     lead = x.shape[:-3]
-    avg3 = _separable_avg3_v2 if _is_v2(scratch) else _separable_avg3
-    if _is_v2(scratch):
-        colbuf = _lease(scratch, lead + (height, width), x.dtype,
-                        ("gate_col", tag))
-    else:
-        colbuf = np.empty(lead + (height, width), dtype=x.dtype)
+    colbuf = np.empty(lead + (height, width), dtype=x.dtype)
 
     def run():
         for c in channels:
             cc = corr[..., c, :, :]
             gc = gate[..., c, :, :]
-            avg3(x[..., c, :, :], cc, colbuf, 1.0 / 9.0)
+            _separable_avg3(x[..., c, :, :], cc, colbuf, 1.0 / 9.0)
             if madd is None:
                 np.subtract(cc, cc.max(axis=-1, keepdims=True), out=gc)
             else:
@@ -1489,7 +1414,7 @@ def _fused_gate_forward(fusion: _GateFusion, scratch,
 
 
 def _fused_gate_backward(fusion: _GateFusion, grads, written, scratch,
-                         channel_range=None, tag=0, store=None):
+                         channel_range=None, store=None):
     pool, gate_n, mul_n = fusion.pool, fusion.gate, fusion.mul
     g_gated = grads[id(mul_n)]
     corr, gate = pool.data, gate_n.data
@@ -1501,18 +1426,10 @@ def _fused_gate_backward(fusion: _GateFusion, grads, written, scratch,
     channels = channel_range or range(corr.shape[-3])
     lead = corr.shape[:-3]
     shape = lead + (height, width)
-    if _is_v2(scratch):
-        dcorr = _lease(scratch, shape, corr.dtype, ("gate_dcorr", tag))
-        dgate = _lease(scratch, shape, corr.dtype, ("gate_dgate", tag))
-        tmp = _lease(scratch, shape, corr.dtype, ("gate_tmp", tag))
-        colbuf = _lease(scratch, shape, corr.dtype, ("gate_col", tag))
-        avg3 = _separable_avg3_v2
-    else:
-        dcorr = np.empty(shape, dtype=corr.dtype)
-        dgate = np.empty_like(dcorr)
-        tmp = np.empty_like(dcorr)
-        colbuf = np.empty_like(dcorr)
-        avg3 = _separable_avg3
+    dcorr = np.empty(shape, dtype=corr.dtype)
+    dgate = np.empty_like(dcorr)
+    tmp = np.empty_like(dcorr)
+    colbuf = np.empty_like(dcorr)
 
     def run():
         for c in channels:
@@ -1533,10 +1450,383 @@ def _fused_gate_backward(fusion: _GateFusion, grads, written, scratch,
             # backward scatter (same separable 3-tap operator).
             target = pg[..., c, :, :]
             if store:
-                avg3(dcorr, target, colbuf, 1.0 / 9.0)
+                _separable_avg3(dcorr, target, colbuf, 1.0 / 9.0)
             else:
-                avg3(dcorr, tmp, colbuf, 1.0 / 9.0)
+                _separable_avg3(dcorr, tmp, colbuf, 1.0 / 9.0)
                 np.add(target, tmp, out=target)
+    return run
+
+
+class _RegionFusion(NamedTuple):
+    """One whole RegionSA correlation chain, conv -> pool -> [+mask] ->
+    softmax -> ⊙ -> sum(axis=-3) -> ×1/c, lowered to one kernel pair.
+    The forward kernel runs at ``conv`` and the backward one at
+    ``scale``; the nodes between them get neither kernels nor gradient
+    buffers."""
+
+    conv: Tensor
+    pool: Tensor
+    gate: Tensor
+    mul: Tensor
+    total: Tensor         # A' ⊙ softmax(A') summed over channels
+    scale: Tensor         # total × 1/c: the chain's output
+    add: Tensor | None
+    mask: Tensor | None
+
+    @property
+    def head(self) -> Tensor:
+        return self.conv
+
+    @property
+    def bwd_head(self) -> Tensor:
+        return self.scale
+
+    @property
+    def interior(self) -> tuple[Tensor, ...]:
+        nodes = (self.pool, self.gate, self.mul, self.total)
+        return nodes if self.add is None else nodes + (self.add,)
+
+    @property
+    def fused_away(self) -> tuple[Tensor, ...]:
+        return self.interior + (self.scale,)
+
+    @property
+    def bwd_fused_away(self) -> tuple[Tensor, ...]:
+        return (self.conv,) + self.interior
+
+    @property
+    def inference_dead(self) -> tuple[Tensor, ...]:
+        # A forward-only plan leases A' and the gate planes instead.
+        return self.bwd_fused_away
+
+    @property
+    def written_at_head(self) -> tuple[Tensor, ...]:
+        return (self.scale,)
+
+    @property
+    def traffic_nodes(self) -> tuple[Tensor, ...]:
+        return (self.conv._prev[0], self.pool, self.gate, self.scale)
+
+    @property
+    def grad_targets(self) -> tuple[Tensor, ...]:
+        return tuple(t for t in self.conv._prev if t.requires_grad)
+
+
+def _find_region_fusions(nodes: list[Tensor], gate_fusions):
+    """Grow each gate chain into the whole RegionSA chain where its pool
+    reads a conv2d(1→c, 3x3, same, with bias) and its ⊙ feeds only a
+    channel mean; returns (region fusions, the remaining gate fusions)."""
+    consumers = _consumers(nodes)
+
+    def sole(t: Tensor) -> Tensor | None:
+        cons = consumers.get(id(t), [])
+        return cons[0] if len(cons) == 1 else None
+
+    regions, rest = [], []
+    for f in gate_fusions:
+        conv = f.pool._prev[0]
+        total = sole(f.mul)
+        scale = sole(total) if total is not None else None
+        if (conv._op == "conv2d" and len(conv._prev) == 3
+                and conv._ctx[:2] == (3, 1)
+                and conv._prev[1].shape[1:] == (1, 3, 3)
+                and sole(conv) is f.pool
+                and total is not None and total._op == "sum"
+                and total._ctx in ((-3, False), (f.mul.ndim - 3, False))
+                and scale is not None and scale._op == "mul"
+                and scale._prev[0] is total
+                and _const_scalar(scale._prev[1])):
+            regions.append(_RegionFusion(conv, f.pool, f.gate, f.mul, total,
+                                         scale, f.add, f.mask))
+        else:
+            rest.append(f)
+    return regions, rest
+
+
+def _find_fusions(nodes: list[Tensor], lowering: str):
+    """(gate, region, LayerNorm) fusions of a tape.  v1 fuses gate chains
+    only; v2 grows them into whole RegionSA chains where it can and
+    fuses LayerNorm chains too."""
+    gates = _find_gate_fusions(nodes)
+    if lowering == "v1":
+        return gates, [], []
+    regions, gates = _find_region_fusions(nodes, gates)
+    return gates, regions, _find_layernorm_fusions(nodes)
+
+
+def _window_counts(height: int, width: int, dtype) -> np.ndarray:
+    """9·pool(1): how many cells of each position's 3x3 window lie inside
+    the (height, width) image — the bias row of the pooled-tap GEMM."""
+    rows = np.full(height, 3.0)
+    cols = np.full(width, 3.0)
+    rows[0] -= 1.0
+    rows[-1] -= 1.0
+    cols[0] -= 1.0
+    cols[-1] -= 1.0
+    return np.multiply.outer(rows, cols).astype(dtype)
+
+
+def _tap_corners(height: int, width: int):
+    """(taps index, extended-box index) of the four corner taps'
+    inclusion–exclusion terms (see :func:`_pooled_taps`)."""
+    taps = (Ellipsis, [8, 6, 2, 0], [0, 0, height - 1, height - 1],
+            [0, width - 1, 0, width - 1])
+    box = (Ellipsis, [0, 0, height + 1, height + 1],
+           [0, width + 1, 0, width + 1])
+    return taps, box
+
+
+def _pooled_taps(a: np.ndarray, taps: np.ndarray, scratch) -> Callable:
+    """Kernel writing the nine pooled conv taps of ``a`` (..., H, W) into
+    ``taps`` (..., 9, H, W).
+
+    Tap 3·ky + kx is the same-padded 3x3 window sum of the conv's
+    (ky, kx) input shift — 9 × the avgpool of that im2col row.  All nine
+    are crops of one extended box E, the 3x3 window sum of the
+    zero-padded ``a`` over the (H+2, W+2) positions the conv output's
+    zero border spans: tap (ky, kx) = E[ky:ky+H, kx:kx+W], except where
+    the pool window hangs over the conv output's border, whose cells the
+    pool reads as zeros but the crop counts.  Only outer taps lose such a
+    line and it is one of E's own edges: taps with ky=2 drop E's top row
+    at output row 0, ky=0 its bottom row at row H-1, kx=2 / kx=0 its left
+    / right column at column 0 / W-1, and the four corner taps add E's
+    corner back (inclusion–exclusion).  At H or W ≤ 2 several
+    corrections hit one cell; each is a separate in-place op, so they
+    compose.
+    """
+    *lead, height, width = a.shape
+    lead = tuple(lead)
+    vbox = _lease(scratch, lead + (height + 2, width), a.dtype, "taps_vbox")
+    ebox = _lease(scratch, lead + (height + 2, width + 2), a.dtype,
+                  "taps_ebox")
+    window = np.lib.stride_tricks.sliding_window_view
+    crops = window(ebox, (height, width), axis=(-2, -1))   # (..., 3, 3, H, W)
+    edges = (
+        (taps[..., 6:9, 0, :], window(ebox[..., 0, :], width, axis=-1)),
+        (taps[..., 0:3, height - 1, :],
+         window(ebox[..., height + 1, :], width, axis=-1)),
+        (taps[..., 2::3, :, 0], window(ebox[..., :, 0], height, axis=-1)),
+        (taps[..., 0::3, :, width - 1],
+         window(ebox[..., :, width + 1], height, axis=-1)),
+    )
+    corner_taps, corner_box = _tap_corners(height, width)
+
+    def run():
+        # Vertical then horizontal 3-tap sums, each extended by one line
+        # on both sides.
+        np.copyto(vbox[..., :height, :], a)
+        vbox[..., height:, :] = 0.0
+        np.add(vbox[..., 1:height + 1, :], a, out=vbox[..., 1:height + 1, :])
+        np.add(vbox[..., 2:, :], a, out=vbox[..., 2:, :])
+        np.copyto(ebox[..., :, :width], vbox)
+        ebox[..., :, width:] = 0.0
+        np.add(ebox[..., :, 1:width + 1], vbox, out=ebox[..., :, 1:width + 1])
+        np.add(ebox[..., :, 2:], vbox, out=ebox[..., :, 2:])
+        for ky in range(3):
+            np.copyto(taps[..., 3 * ky:3 * ky + 3, :, :],
+                      crops[..., ky, :, :, :])
+        for dst, edge in edges:
+            np.subtract(dst, edge, out=dst)
+        taps[corner_taps] += ebox[corner_box]
+    return run
+
+
+def _pooled_taps_adjoint(dtaps: np.ndarray, da: np.ndarray,
+                         scratch) -> Callable:
+    """Kernel writing into ``da`` (..., H, W) the adjoint of
+    :func:`_pooled_taps` applied to ``dtaps`` (..., 9, H, W): scatter the
+    taps back into E's gradient (a col2im), undo the border corrections,
+    then run the two box sums backwards."""
+    *lead, _, height, width = dtaps.shape
+    lead = tuple(lead)
+    debox = _lease(scratch, lead + (height + 2, width + 2), da.dtype,
+                   "taps_ebox")
+    dvbox = _lease(scratch, lead + (height + 2, width), da.dtype, "taps_vbox")
+    scatter = [(debox[..., ky:ky + height, kx:kx + width],
+                dtaps[..., 3 * ky + kx, :, :])
+               for ky in range(3) for kx in range(3)]
+    edges = ([(debox[..., 0, k:k + width], dtaps[..., 6 + k, 0, :])
+              for k in range(3)]
+             + [(debox[..., height + 1, k:k + width],
+                 dtaps[..., k, height - 1, :]) for k in range(3)]
+             + [(debox[..., k:k + height, 0], dtaps[..., 3 * k + 2, :, 0])
+                for k in range(3)]
+             + [(debox[..., k:k + height, width + 1],
+                 dtaps[..., 3 * k, :, width - 1]) for k in range(3)])
+    corner_taps, corner_box = _tap_corners(height, width)
+
+    def run():
+        debox.fill(0.0)
+        for dst, src in scatter:
+            np.add(dst, src, out=dst)
+        for dst, src in edges:
+            np.subtract(dst, src, out=dst)
+        debox[corner_box] += dtaps[corner_taps]
+        np.add(debox[..., :, :width], debox[..., :, 1:width + 1], out=dvbox)
+        np.add(dvbox, debox[..., :, 2:], out=dvbox)
+        np.add(dvbox[..., :height, :], dvbox[..., 1:height + 1, :], out=da)
+        np.add(da, dvbox[..., 2:, :], out=da)
+    return run
+
+
+def _scaled_weights(weight: np.ndarray, bias: np.ndarray,
+                    scratch) -> Callable[[], np.ndarray]:
+    """Return ``fn()`` filling and returning [W | b] / 9 (c, 10): the
+    conv weights with the pool's 1/9 folded in, an O(c) pass instead of
+    one over A'."""
+    channels = weight.shape[0]
+    wb = _lease(scratch, (channels, 10), weight.dtype, "region_wb")
+    flat = weight.reshape(channels, 9)
+
+    def fill():
+        np.multiply(flat, 1.0 / 9.0, out=wb[:, :9])
+        np.multiply(bias, 1.0 / 9.0, out=wb[:, 9])
+        return wb
+    return fill
+
+
+def _fused_region_forward(fusion: _RegionFusion, scratch,
+                          inference: bool = False):
+    """Forward kernel of a whole RegionSA chain (see the block comment).
+
+    Training plans keep A' and the gate in the pool and softmax nodes'
+    buffers and the pooled taps in a per-chain buffer, all read by the
+    backward kernel.  The taps are seeded from the recorded input here,
+    because the recording step's backward runs before any lowered
+    forward.  Inference plans lease all three and write only the chain's
+    output.
+    """
+    x_t, w_t, b_t = fusion.conv._prev
+    a = x_t.data[..., 0, :, :]
+    *lead, height, width = a.shape
+    lead = tuple(lead)
+    channels = w_t.shape[0]
+    dt = a.dtype
+    plane = lead + (height, width)
+    if inference:
+        taps = _lease(scratch, lead + (10, height, width), dt, "region_taps")
+        corr = _lease(scratch, lead + (channels, height, width), dt,
+                      "region_corr")
+        gates = [_lease(scratch, plane, dt, "region_gate")] * channels
+    else:
+        taps = np.empty(lead + (10, height, width), dt)
+        corr = fusion.pool.data
+        gates = [fusion.gate.data[..., ch, :, :] for ch in range(channels)]
+    taps[..., 9, :, :] = _window_counts(height, width, dt)
+    build_taps = _pooled_taps(a, taps[..., :9, :, :], scratch)
+    if not inference:
+        build_taps()
+        scratch[id(fusion.conv)] = taps
+    taps2 = taps.reshape(lead + (10, height * width))
+    corr2 = corr.reshape(lead + (channels, height * width))
+    scaled_weights = _scaled_weights(w_t.data, b_t.data, scratch)
+    madd = fusion.mask.data[..., 0, :, :] if fusion.mask is not None else None
+    out = fusion.scale.data
+    factor = fusion.scale._prev[1].data
+    tmp = _lease(scratch, plane, dt, "region_t1")
+    red = _lease(scratch, lead + (height, 1), dt, "region_red")
+    planes = [(corr[..., ch, :, :], gc) for ch, gc in enumerate(gates)]
+
+    def run():
+        build_taps()
+        np.matmul(scaled_weights(), taps2, out=corr2)
+        for ch, (cc, gc) in enumerate(planes):
+            scores = cc
+            if madd is not None:
+                np.add(cc, madd, out=gc)
+                scores = gc
+            np.amax(scores, axis=-1, keepdims=True, out=red)
+            np.subtract(scores, red, out=gc)
+            np.exp(gc, out=gc)
+            np.sum(gc, axis=-1, keepdims=True, out=red)
+            np.divide(gc, red, out=gc)
+            if ch == 0:
+                np.multiply(cc, gc, out=out)
+            else:
+                np.multiply(cc, gc, out=tmp)
+                np.add(out, tmp, out=out)
+        np.multiply(out, factor, out=out)
+    return run
+
+
+def _fused_region_backward(fusion: _RegionFusion, grads, written, scratch):
+    """Backward kernel of a whole RegionSA chain.
+
+    Each channel's softmax/⊙ adjoint reads the (n, n) mean gradient
+    directly — no broadcast (c, n, n) gradient, no sum backward — and
+    writes dA' into leased scratch; then [dW | db] = dA'·Qᵀ / 9 and dA is
+    the tap builder's adjoint of Wᵀ·dA' / 9.  ``_mark`` runs in the
+    generic conv kernel's edge order (weight, bias, input)."""
+    x_t, w_t, b_t = fusion.conv._prev
+    corr, gate = fusion.pool.data, fusion.gate.data
+    taps = scratch[id(fusion.conv)]
+    g_out = grads[id(fusion.scale)]
+    factor = fusion.scale._prev[1].data
+    *lead, channels, height, width = corr.shape
+    lead = tuple(lead)
+    dt = corr.dtype
+    plane = lead + (height, width)
+    hw = height * width
+    dg = _lease(scratch, plane, dt, "region_dg")
+    t1 = _lease(scratch, plane, dt, "region_t1")
+    t2 = _lease(scratch, plane, dt, "region_t2")
+    red = _lease(scratch, lead + (height, 1), dt, "region_red")
+    dcorr = _lease(scratch, corr.shape, dt, "region_dcorr")
+    dcorr2 = dcorr.reshape(lead + (channels, hw))
+    planes = [(corr[..., ch, :, :], gate[..., ch, :, :], dcorr[..., ch, :, :])
+              for ch in range(channels)]
+    scaled_weights = _scaled_weights(w_t.data, b_t.data, scratch)
+    runs = []
+    if w_t.requires_grad or b_t.requires_grad:
+        taps2T = taps.reshape(lead + (10, hw)).swapaxes(-1, -2)
+        dwb = _lease(scratch, (channels, 10), dt, "region_dwb")
+        # Per-item products of a batch, summed after (tiny: c×10 each).
+        per_item = (_lease(scratch, lead + (channels, 10), dt,
+                           "region_dwb_items") if lead else dwb)
+        w_sink = (_contrib_sink(grads[id(w_t)], w_t.shape,
+                                _mark(written, id(w_t)))
+                  if w_t.requires_grad else None)
+        b_sink = (_contrib_sink(grads[id(b_t)], b_t.shape,
+                                _mark(written, id(b_t)))
+                  if b_t.requires_grad else None)
+
+        def param_grads(wb):
+            np.matmul(dcorr2, taps2T, out=per_item)
+            if lead:
+                np.sum(per_item, axis=tuple(range(len(lead))), out=dwb)
+            np.multiply(dwb, 1.0 / 9.0, out=dwb)
+            if w_sink is not None:
+                w_sink(dwb[:, :9].reshape(w_t.shape))
+            if b_sink is not None:
+                b_sink(dwb[:, 9])
+        runs.append(param_grads)
+    if x_t.requires_grad:
+        pg = grads[id(x_t)][..., 0, :, :]
+        store = _mark(written, id(x_t))
+        dtaps = _lease(scratch, lead + (9, height, width), dt, "region_dtaps")
+        dtaps2 = dtaps.reshape(lead + (9, hw))
+        da = pg if store else _lease(scratch, plane, dt, "region_da")
+        adjoint = _pooled_taps_adjoint(dtaps, da, scratch)
+
+        def input_grad(wb):
+            np.matmul(wb[:, :9].T, dcorr2, out=dtaps2)
+            adjoint()
+            if not store:
+                np.add(pg, da, out=pg)
+        runs.append(input_grad)
+
+    def run():
+        np.multiply(g_out, factor, out=dg)
+        for cc, gc, dc in planes:
+            np.multiply(dg, cc, out=t1)          # ⊙ adjoint toward the gate
+            np.multiply(t1, gc, out=t2)
+            np.sum(t2, axis=-1, keepdims=True, out=red)
+            np.subtract(t1, red, out=t1)         # softmax adjoint ...
+            np.add(t1, dg, out=t1)               # ... plus ⊙'s toward A'
+            np.multiply(gc, t1, out=dc)
+        wb = scaled_weights()
+        for fn in runs:
+            fn(wb)
     return run
 
 
@@ -1568,6 +1858,18 @@ class _LNFusion(NamedTuple):
     beta: Tensor
     inv: float      # 1/d, the recorded mean scale
     eps: float
+
+    @property
+    def head(self) -> Tensor:
+        return self.s1
+
+    @property
+    def bwd_head(self) -> Tensor:
+        return self.out
+
+    @property
+    def written_at_head(self) -> tuple[Tensor, ...]:
+        return (self.out,)
 
     @property
     def fused_away(self) -> tuple[Tensor, ...]:
@@ -1603,19 +1905,12 @@ class _LNFusion(NamedTuple):
 
 
 def _find_layernorm_fusions(nodes: list[Tensor]) -> list[_LNFusion]:
-    consumers: dict[int, list[Tensor]] = {}
-    for n in nodes:
-        for p in n._prev:
-            consumers.setdefault(id(p), []).append(n)
+    consumers = _consumers(nodes)
     pos = {id(n): i for i, n in enumerate(nodes)}
 
     def sole(t: Tensor, expected: Tensor) -> bool:
         cons = consumers.get(id(t), [])
         return len(cons) == 1 and cons[0] is expected
-
-    def const_scalar(t: Tensor) -> bool:
-        return (not t._prev and not t.requires_grad
-                and getattr(t.data, "ndim", None) == 0)
 
     def last_axis_sum(t: Tensor, src: Tensor) -> bool:
         if t._op != "sum" or t._prev[0] is not src:
@@ -1645,14 +1940,14 @@ def _find_layernorm_fusions(nodes: list[Tensor]) -> list[_LNFusion]:
             continue
         var, eps_t = ve._prev
         m1, neg1b = neg_b._prev
-        if (var._op != "mul" or not const_scalar(eps_t)
-                or m1._op != "mul" or not const_scalar(neg1b)
+        if (var._op != "mul" or not _const_scalar(eps_t)
+                or m1._op != "mul" or not _const_scalar(neg1b)
                 or not sole(ve, rstd) or not sole(neg_b, c2)):
             continue
         s3, c_var = var._prev
         s1, c_m1 = m1._prev
-        if (s3._op != "sum" or not const_scalar(c_var)
-                or not last_axis_sum(s1, x) or not const_scalar(c_m1)
+        if (s3._op != "sum" or not _const_scalar(c_var)
+                or not last_axis_sum(s1, x) or not _const_scalar(c_m1)
                 or not sole(var, ve) or not sole(m1, neg_b)
                 or not sole(s1, m1)):
             continue
@@ -1671,11 +1966,11 @@ def _find_layernorm_fusions(nodes: list[Tensor]) -> list[_LNFusion]:
         if neg_a._op != "mul" or not sole(neg_a, c1):
             continue
         m2, neg1a = neg_a._prev
-        if (m2._op != "mul" or not const_scalar(neg1a)
+        if (m2._op != "mul" or not _const_scalar(neg1a)
                 or not sole(m2, neg_a)):
             continue
         s2, c_m2 = m2._prev
-        if (not last_axis_sum(s2, x) or not const_scalar(c_m2)
+        if (not last_axis_sum(s2, x) or not _const_scalar(c_m2)
                 or not sole(s2, m2)):
             continue
         # Shapes: the affine output must keep x's shape (the direct
@@ -2237,14 +2532,13 @@ def _partition_bwd(node, grads, written, scratch, workers):
 def _gate_fwd_parts(fusion: "_GateFusion", scratch, workers):
     """Channel-split thunks for the fused gate forward: each slice runs
     the per-channel kernel on a disjoint channel range with its own
-    scratch lease (``tag``), writing disjoint channel planes."""
+    scratch, writing disjoint channel planes."""
     channels = fusion.pool.data.shape[-3]
     cb = _slice_bounds(channels, workers)
     if len(cb) < 2:
         return None
-    return [_fused_gate_forward(fusion, scratch,
-                                channel_range=range(lo, hi), tag=w + 1)
-            for w, (lo, hi) in enumerate(cb)]
+    return [_fused_gate_forward(fusion, scratch, channel_range=range(lo, hi))
+            for lo, hi in cb]
 
 
 def _gate_bwd_parts(fusion: "_GateFusion", grads, written, scratch, workers):
@@ -2258,9 +2552,53 @@ def _gate_bwd_parts(fusion: "_GateFusion", grads, written, scratch, workers):
     parent = fusion.pool._prev[0]
     store = id(parent) not in written
     return [_fused_gate_backward(fusion, grads, written, scratch,
-                                 channel_range=range(lo, hi), tag=w + 1,
-                                 store=store)
-            for w, (lo, hi) in enumerate(cb)]
+                                 channel_range=range(lo, hi), store=store)
+            for lo, hi in cb]
+
+
+def _fusion_forward(fusion, scratch, workers: int, inference: bool = False):
+    """(kernel, profile tag, threaded slices or None) for the forward
+    kernel at a fusion's head.  Only the gate chain partitions (by
+    channel); a whole RegionSA chain replays unpartitioned."""
+    if isinstance(fusion, _LNFusion):
+        return (_fused_ln_forward(fusion, scratch, inference),
+                "F:fused_layernorm", None)
+    if isinstance(fusion, _RegionFusion):
+        return (_fused_region_forward(fusion, scratch, inference),
+                "F:fused_gate", None)
+    parts = _gate_fwd_parts(fusion, scratch, workers) if workers > 1 else None
+    return _fused_gate_forward(fusion, scratch), "F:fused_gate", parts
+
+
+def _fusion_backward(fusion, grads, written, scratch, workers: int):
+    """(kernel, profile tag, threaded slices or None) for the backward
+    kernel at a fusion's ``bwd_head``."""
+    if isinstance(fusion, _LNFusion):
+        return (_fused_ln_backward(fusion, grads, written, scratch),
+                "B:fused_layernorm", None)
+    if isinstance(fusion, _RegionFusion):
+        return (_fused_region_backward(fusion, grads, written, scratch),
+                "B:fused_gate", None)
+    # Peek the store decision before the serial builder (the marking
+    # call) consumes the first write.
+    parts = (_gate_bwd_parts(fusion, grads, written, scratch, workers)
+             if workers > 1 else None)
+    return (_fused_gate_backward(fusion, grads, written, scratch),
+            "B:fused_gate", parts)
+
+
+def _replay(ops, parts, pool) -> None:
+    """Run a kernel list: serially, or — with a worker ``pool`` — each
+    kernel that has threaded slices as ``pool.run(slices)``."""
+    if pool is None:
+        for fn in ops:
+            fn()
+        return
+    for fn, slices in zip(ops, parts):
+        if slices is None:
+            fn()
+        else:
+            pool.run(slices)
 
 
 # ----------------------------------------------------------------------
@@ -2322,13 +2660,19 @@ def _fusion_bytes(fusion) -> int:
     return total
 
 
-def _profile_ops(ops, meta, stats, kernels) -> float:
+def _profile_ops(ops, meta, stats, kernels, parts=None, pool=None) -> float:
     """Time one replay of ``ops`` kernel-by-kernel into ``stats`` (keyed
-    by op tag) and ``kernels`` (keyed by kernel index within the list)."""
+    by op tag) and ``kernels`` (keyed by kernel index within the list).
+    Each kernel runs as :func:`_replay` runs it, so with a worker
+    ``pool`` a partitioned kernel is timed as ``pool.run(slices)``."""
     total = 0.0
     for i, (fn, (tag, nbytes)) in enumerate(zip(ops, meta)):
+        slices = parts[i] if pool is not None else None
         t0 = time.perf_counter()
-        fn()
+        if slices is None:
+            fn()
+        else:
+            pool.run(slices)
         dt = time.perf_counter() - t0
         total += dt
         entry = stats.setdefault(tag, {"count": 0, "calls": 0,
@@ -2523,44 +2867,38 @@ class Plan:
             stack.extend(t._prev)
 
         self._loss_data = loss.data
-        # Gate-chain fusion first: its nodes get contiguous channel-first
-        # buffers (the eager views are channel-last, which would make the
-        # per-channel blocked kernels strided) — before any builder or
-        # gradient buffer captures a layout.
-        fusions = _find_gate_fusions(nodes)
-        # LayerNorm chains fuse only under the v2 lowering: v1 keeps the
-        # generic per-node kernels as the honest comparison baseline.
-        ln_fusions = (_find_layernorm_fusions(nodes)
-                      if self.lowering == "v2" else [])
-        fuse_fwd_head = {id(f.pool): f for f in fusions}
-        fuse_fwd_head.update({id(f.s1): f for f in ln_fusions})
+        gate_fusions, region_fusions, ln_fusions = _find_fusions(
+            nodes, self.lowering)
+        fusions = gate_fusions + region_fusions + ln_fusions
+        fuse_fwd_head = {id(f.head): f for f in fusions}
         fuse_fwd_skip = {id(t) for f in fusions for t in f.fused_away}
-        fuse_fwd_skip.update(id(t) for f in ln_fusions for t in f.fused_away)
-        fuse_bwd_head = {id(f.mul): f for f in fusions}
-        fuse_bwd_head.update({id(f.out): f for f in ln_fusions})
-        fuse_bwd_skip = {id(t) for f in fusions
-                         for t in (f.pool, f.gate, f.add) if t is not None}
-        fuse_bwd_skip.update(id(t) for f in ln_fusions
-                             for t in f.bwd_fused_away)
-        for fusion in fusions:
-            targets = [fusion.pool, fusion.gate, fusion.mul]
-            # The pool's input too: channel-sliced reads of a channel-last
-            # array touch one cache line per element (a 16x traffic blow-
-            # up); one contiguous materialization up front is far cheaper.
-            # Views and leaves keep their buffers (a view's noop forward
-            # and a parameter's identity both depend on them).
-            parent = fusion.pool._prev[0]
-            if parent._prev and not _is_view(parent):
-                targets.append(parent)
+        fuse_bwd_head = {id(f.bwd_head): f for f in fusions}
+        fuse_bwd_skip = {id(t) for f in fusions for t in f.bwd_fused_away}
+        # The per-channel chain kernels read contiguous channel-first
+        # planes (and the region kernel's GEMM writes A' through a
+        # reshape), so fix those layouts before any builder or gradient
+        # buffer captures one.  Eager pool/softmax/⊙ outputs already are
+        # contiguous; the v1 gate chain's pool input is the conv's
+        # channel-last GEMM view, whose channel-sliced reads touch one
+        # cache line per element (a 16x traffic blow-up), so it gets one
+        # contiguous materialization up front.  Views and leaves keep
+        # their buffers (a view's noop forward and a parameter's identity
+        # both depend on them).
+        for fusion in gate_fusions + region_fusions:
+            targets = [fusion.pool, fusion.gate]
+            if isinstance(fusion, _GateFusion):
+                targets.append(fusion.mul)
+                parent = fusion.pool._prev[0]
+                if parent._prev and not _is_view(parent):
+                    targets.append(parent)
             for t in targets:
                 if not t.data.flags.c_contiguous:
                     t.data = np.ascontiguousarray(t.data)
 
-        # Gradient buffers are C-contiguous: the fusion pass above already
-        # normalized the conv path's channel-last activations, and BLAS
-        # wants contiguous `out=` targets for the direct matmul-backward
-        # fast path.  Fused-away intermediates keep their gradients in
-        # kernel-local scratch instead.
+        # Gradient buffers are C-contiguous: BLAS wants contiguous `out=`
+        # targets for the direct matmul-backward fast path.  Fused-away
+        # intermediates keep their gradients in kernel-local scratch
+        # instead.
         grads = self._allocate_gradients(loss, nodes, reachable,
                                          fuse_bwd_head, fuse_bwd_skip,
                                          pool_gradients)
@@ -2579,22 +2917,13 @@ class Plan:
         for node in nodes:
             if id(node) in fuse_fwd_skip:
                 continue
-            if id(node) in fuse_fwd_head:
-                fusion = fuse_fwd_head[id(node)]
-                if isinstance(fusion, _LNFusion):
-                    self._forward_ops.append(
-                        _fused_ln_forward(fusion, scratch))
-                    self._forward_meta.append(
-                        ("F:fused_layernorm", _fusion_bytes(fusion)))
-                    self._forward_parts.append(None)
-                else:
-                    self._forward_ops.append(
-                        _fused_gate_forward(fusion, scratch))
-                    self._forward_meta.append(
-                        ("F:fused_gate", _fusion_bytes(fusion)))
-                    self._forward_parts.append(
-                        _gate_fwd_parts(fusion, scratch, self.num_workers)
-                        if threaded else None)
+            fusion = fuse_fwd_head.get(id(node))
+            if fusion is not None:
+                fn, tag, parts = _fusion_forward(fusion, scratch,
+                                                 self.num_workers)
+                self._forward_ops.append(fn)
+                self._forward_meta.append((tag, _fusion_bytes(fusion)))
+                self._forward_parts.append(parts)
                 continue
             builder = _FWD.get(node._op)
             if builder is None:
@@ -2615,26 +2944,14 @@ class Plan:
         for node in reversed(nodes):
             if id(node) not in reachable or id(node) in fuse_bwd_skip:
                 continue
-            if id(node) in fuse_bwd_head:
-                fusion = fuse_bwd_head[id(node)]
-                if isinstance(fusion, _LNFusion):
-                    if node.requires_grad:
-                        self._backward_ops.append(_fused_ln_backward(
-                            fusion, grads, written, scratch))
-                        self._backward_meta.append(
-                            ("B:fused_layernorm", _fusion_bytes(fusion)))
-                        self._backward_parts.append(None)
-                    continue
-                # Peek the store decision before the serial builder (the
-                # marking call) consumes the first write.
-                parts = (_gate_bwd_parts(fusion, grads, written, scratch,
-                                         self.num_workers)
-                         if threaded else None)
-                self._backward_ops.append(_fused_gate_backward(
-                    fusion, grads, written, scratch))
-                self._backward_meta.append(
-                    ("B:fused_gate", _fusion_bytes(fusion)))
-                self._backward_parts.append(parts)
+            fusion = fuse_bwd_head.get(id(node))
+            if fusion is not None:
+                if node.requires_grad:
+                    fn, tag, parts = _fusion_backward(
+                        fusion, grads, written, scratch, self.num_workers)
+                    self._backward_ops.append(fn)
+                    self._backward_meta.append((tag, _fusion_bytes(fusion)))
+                    self._backward_parts.append(parts)
                 continue
             builder = _BWD.get(node._op)
             if builder is None:
@@ -2648,7 +2965,7 @@ class Plan:
                 self._backward_ops.append(fn)
                 self._backward_meta.append((f"B:{node._op}", _node_bytes(node)))
                 self._backward_parts.append(parts)
-        self.num_fused_chains = len(fusions)
+        self.num_fused_chains = len(gate_fusions) + len(region_fusions)
         self.num_fused_layernorms = len(ln_fusions)
 
         #: requires-grad leaves (parameters and gradcheck inputs) in
@@ -2764,7 +3081,9 @@ class Plan:
         around every kernel and aggregates by op tag (``F:matmul``,
         ``B:fused_gate``, ...).  This is a separate instrumented walk of
         the same kernel lists — :meth:`forward`/:meth:`backward` carry
-        zero profiling overhead when it is not called.  Returns op-kind
+        zero profiling overhead when it is not called — that runs each
+        kernel as they do, so a threaded plan's partitioned kernels are
+        timed as their slices on the worker pool.  Returns op-kind
         aggregates sorted by time plus the five hottest individual
         kernels (``tag#index``, seconds averaged per replay).
 
@@ -2775,11 +3094,12 @@ class Plan:
         stats: dict[str, dict] = {}
         kernels: dict[tuple, dict] = {}
         total = 0.0
+        pool = self._worker_pool
         for _ in range(max(1, replays)):
             total += _profile_ops(self._forward_ops, self._forward_meta,
-                                  stats, kernels)
+                                  stats, kernels, self._forward_parts, pool)
             total += _profile_ops(self._backward_ops, self._backward_meta,
-                                  stats, kernels)
+                                  stats, kernels, self._backward_parts, pool)
             if include_update and self._update_ops:
                 total += _profile_ops(self._update_ops, self._update_meta,
                                       stats, kernels)
@@ -2807,16 +3127,7 @@ class Plan:
 
     def forward(self) -> float:
         """Replay the forward pass in-place; returns the loss value."""
-        pool = self._worker_pool
-        if pool is None:
-            for fn in self._forward_ops:
-                fn()
-        else:
-            for fn, parts in zip(self._forward_ops, self._forward_parts):
-                if parts is None:
-                    fn()
-                else:
-                    pool.run(parts)
+        _replay(self._forward_ops, self._forward_parts, self._worker_pool)
         return float(self._loss_data)
 
     def backward(self) -> None:
@@ -2826,16 +3137,7 @@ class Plan:
         buffers (marked not-owned, so any later eager accumulation copies
         rather than corrupting them).
         """
-        pool = self._worker_pool
-        if pool is None:
-            for fn in self._backward_ops:
-                fn()
-        else:
-            for fn, parts in zip(self._backward_ops, self._backward_parts):
-                if parts is None:
-                    fn()
-                else:
-                    pool.run(parts)
+        _replay(self._backward_ops, self._backward_parts, self._worker_pool)
         for t, buf in self.leaves:
             t.grad = buf
             t._grad_owned = False
@@ -2984,26 +3286,16 @@ class InferencePlan:
 
         # Fusion decisions first (they fix birth positions); consumers
         # are computed over live nodes only — dead branches never replay.
-        fusions = _find_gate_fusions(order)
-        ln_fusions = (_find_layernorm_fusions(order)
-                      if self.lowering == "v2" else [])
-        fuse_fwd_head = {id(f.pool): f for f in fusions}
-        fuse_fwd_head.update({id(f.s1): f for f in ln_fusions})
+        gate_fusions, region_fusions, ln_fusions = _find_fusions(
+            order, self.lowering)
+        fusions = gate_fusions + region_fusions + ln_fusions
+        fuse_fwd_head = {id(f.head): f for f in fusions}
         fuse_fwd_skip = {id(t) for f in fusions for t in f.fused_away}
-        fuse_fwd_skip.update(id(t) for f in ln_fusions for t in f.fused_away)
-        skip_alloc = {id(f.add) for f in fusions if f.add is not None}
-        skip_alloc.update(id(t) for f in ln_fusions
-                          for t in f.inference_dead)
-        birth_override: dict[int, int] = {}
+        skip_alloc = {id(t) for f in fusions for t in f.inference_dead}
+        # What a fused kernel writes is born when it runs, at the head.
         pos = {id(n): i for i, n in enumerate(order)}
-        for f in fusions:
-            head = pos[id(f.pool)]
-            birth_override[id(f.gate)] = head
-            birth_override[id(f.mul)] = head
-        for f in ln_fusions:
-            # Only the affine output materializes; it is born when the
-            # single fused kernel (at the chain head) runs.
-            birth_override[id(f.out)] = pos[id(f.s1)]
+        birth_override = {id(t): pos[id(f.head)]
+                          for f in fusions for t in f.written_at_head}
 
         shapes = {id(n): n.data.shape for n in order}
         dtypes = {id(n): n.data.dtype for n in order}
@@ -3031,22 +3323,14 @@ class InferencePlan:
         for node in order:
             if id(node) in fuse_fwd_skip:
                 continue
-            if id(node) in fuse_fwd_head:
-                fusion = fuse_fwd_head[id(node)]
-                if isinstance(fusion, _LNFusion):
-                    self._forward_ops.append(
-                        _fused_ln_forward(fusion, scratch, inference=True))
-                    self._forward_meta.append(
-                        ("F:fused_layernorm", _fusion_bytes(fusion)))
-                    self._forward_parts.append(None)
-                else:
-                    self._forward_ops.append(
-                        _fused_gate_forward(fusion, scratch))
-                    self._forward_meta.append(
-                        ("F:fused_gate", _fusion_bytes(fusion)))
-                    self._forward_parts.append(
-                        _gate_fwd_parts(fusion, scratch, self.num_workers)
-                        if threaded else None)
+            fusion = fuse_fwd_head.get(id(node))
+            if fusion is not None:
+                fn, tag, parts = _fusion_forward(fusion, scratch,
+                                                 self.num_workers,
+                                                 inference=True)
+                self._forward_ops.append(fn)
+                self._forward_meta.append((tag, _fusion_bytes(fusion)))
+                self._forward_parts.append(parts)
                 continue
             builder = _FWD.get(node._op)
             if builder is None:
@@ -3060,7 +3344,7 @@ class InferencePlan:
                     _partition_fwd(node, scratch, self.num_workers)
                     if threaded else None)
 
-        self.num_fused_chains = len(fusions)
+        self.num_fused_chains = len(gate_fusions) + len(region_fusions)
         self.num_fused_layernorms = len(ln_fusions)
         self.op_counts: dict[str, int] = {}
         for node in order:
@@ -3192,7 +3476,8 @@ class InferencePlan:
         total = 0.0
         for _ in range(max(1, replays)):
             total += _profile_ops(self._forward_ops, self._forward_meta,
-                                  stats, kernels)
+                                  stats, kernels, self._forward_parts,
+                                  self._worker_pool)
         return _profile_report(stats, kernels, max(1, replays), total)
 
     def run(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -3212,16 +3497,7 @@ class InferencePlan:
                 raise ValueError(f"input shape {src.shape} does not match "
                                  f"plan slot {slot.shape}")
             np.copyto(slot, src)
-        pool = self._worker_pool
-        if pool is None:
-            for fn in self._forward_ops:
-                fn()
-        else:
-            for fn, parts in zip(self._forward_ops, self._forward_parts):
-                if parts is None:
-                    fn()
-                else:
-                    pool.run(parts)
+        _replay(self._forward_ops, self._forward_parts, self._worker_pool)
         self.replays += 1
         return self._output
 

@@ -158,7 +158,10 @@ class AvgPool2d(Module):
         kernel, pad = self.kernel_size, self.pad
         scale = 1.0 / (kernel * kernel)
         padded = _zero_pad(x.data, pad)
-        out_data = np.zeros_like(x.data)
+        # C-order like ``padded``: zeros_like would inherit a channel-last
+        # conv output's strides and make every window add (and every op
+        # downstream) stride across channels.
+        out_data = np.zeros(x.shape, dtype=x.dtype)
         for ky in range(kernel):
             for kx in range(kernel):
                 out_data += padded[..., ky:ky + height, kx:kx + width]

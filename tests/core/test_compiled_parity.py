@@ -137,6 +137,42 @@ class TestCompiledVsEagerFloat64:
                                            atol=ATOL64, err_msg=name)
 
 
+class TestWideConvChannels:
+    """conv_channels=32, the paper's value: more channels than the nine
+    pooled taps the v2 RegionSA kernels work in (every other config here
+    uses c ≤ 8)."""
+
+    @pytest.fixture(scope="class")
+    def wide_config(self, tiny_config):
+        return tiny_config.with_overrides(conv_channels=32)
+
+    def test_compiled_vs_eager(self, city, wide_config):
+        _assert_twin_parity(city, wide_config, ATOL64)
+
+    def test_record_step_gradients(self, city, wide_config):
+        """The record step's backward runs on the eager forward's values
+        (the pooled taps are seeded at plan build), before any lowered
+        forward has run; its gradients must match eager's."""
+        views = city.views()
+        from repro.core.model import HAFusion
+
+        def build():
+            return HAFusion(views.dims(), views.n_regions, wide_config,
+                            mobility_view=0, rng=np.random.default_rng(5))
+
+        m_e, m_c = build(), build()
+        m_e.loss(views).backward()
+        step = CompiledStep(lambda: m_c.loss(views))
+        step.run()
+        assert step.compile_count == 1 and step.plan.num_fused_chains == 3
+        for (name, p_e), (_, p_c) in zip(m_e.named_parameters(),
+                                         m_c.named_parameters()):
+            assert (p_e.grad is None) == (p_c.grad is None), name
+            if p_e.grad is not None:
+                np.testing.assert_allclose(p_c.grad, p_e.grad, rtol=0.0,
+                                           atol=ATOL64, err_msg=name)
+
+
 class TestBatchedTrainerCompiled:
     def test_ragged_batch_trajectory(self, ragged_cities, tiny_config):
         eager = BatchedTrainer(ragged_cities, tiny_config, seed=0)

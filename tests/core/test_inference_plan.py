@@ -97,6 +97,14 @@ class TestServingParity:
                              cache, "batched_embed")
         assert plan.num_fused_chains == tiny_config.intra_layers * 3
 
+    def test_wide_conv_channels(self, ragged_cities, tiny_config):
+        """conv_channels=32 (more channels than the nine pooled taps of
+        the v2 RegionSA kernel) on a ragged, masked batch."""
+        config = tiny_config.with_overrides(conv_channels=32)
+        batch = make_batch(ragged_cities)
+        model = build_batched_model(batch, config, seed=0)
+        _assert_embed_parity(batch, model, PlanCache())
+
     def test_sequential_embed_compiled(self, ragged_cities, tiny_config):
         batch = make_batch(ragged_cities)
         model = build_batched_model(batch, tiny_config, seed=0)

@@ -166,6 +166,16 @@ class TestAvgPool2d:
         with pytest.raises(ValueError):
             AvgPool2d(kernel_size=2)
 
+    def test_channel_last_input_gives_c_order_output(self, rng):
+        """A conv output is a channel-last view; pooling it must not
+        inherit those strides, and the values must not move."""
+        data = rng.standard_normal((2, 7, 7, 4)).transpose(0, 3, 1, 2)
+        pool = AvgPool2d(kernel_size=3)
+        out = pool(Tensor(data)).data
+        assert out.flags.c_contiguous
+        expected = pool(Tensor(np.ascontiguousarray(data))).data
+        np.testing.assert_array_equal(out, expected)
+
     def test_gradients(self, rng):
         pool = AvgPool2d(kernel_size=3)
         x = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)

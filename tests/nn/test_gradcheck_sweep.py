@@ -192,8 +192,9 @@ from repro.nn import CompiledStep
 from repro.nn.gradcheck import numeric_gradient
 
 
-def _check_compiled_gradients(loss_fn, tensors, atol=1e-4, rtol=1e-4):
-    step = CompiledStep(loss_fn)
+def _check_compiled_gradients(loss_fn, tensors, atol=1e-4, rtol=1e-4,
+                              lowering=None):
+    step = CompiledStep(loss_fn, lowering=lowering)
     step.run()                      # record
     for t in tensors:
         t.zero_grad()
@@ -241,9 +242,11 @@ def test_compiled_attention_block(rng):
                               [x] + block.parameters())
 
 
-def test_compiled_conv_pool_gate_chain(rng):
+@pytest.mark.parametrize("lowering", ["v1", "v2"])
+def test_compiled_conv_pool_gate_chain(lowering, rng):
     """The RegionSA gate pattern — pool -> softmax -> ⊙ — exercises the
-    fused channel-blocked kernels; gradcheck pins their backward."""
+    fused kernels (v1: the channel-blocked gate pair; v2: the whole-chain
+    pair); gradcheck pins their backward."""
     conv = Conv2d(1, 3, kernel_size=3, rng=rng)
     pool = _AvgPool2d(kernel_size=3)
     x = Tensor(rng.standard_normal((1, 5, 5)), requires_grad=True)
@@ -253,13 +256,15 @@ def test_compiled_conv_pool_gate_chain(rng):
         gate = F.softmax(corr, axis=-1)
         return (corr * gate).mean(axis=-3).sum()
 
-    step = CompiledStep(loss_fn)
+    step = CompiledStep(loss_fn, lowering=lowering)
     step.run()
     assert step.plan.num_fused_chains == 1
-    _check_compiled_gradients(loss_fn, [x] + conv.parameters())
+    _check_compiled_gradients(loss_fn, [x] + conv.parameters(),
+                              lowering=lowering)
 
 
-def test_compiled_masked_gate_chain(rng):
+@pytest.mark.parametrize("lowering", ["v1", "v2"])
+def test_compiled_masked_gate_chain(lowering, rng):
     """The masked gate variant — pool -> +additive_key_mask -> softmax
     -> ⊙ — must also compile to the fused kernels (the padded-batch path
     of the execution engine); gradcheck pins the shared backward."""
@@ -276,10 +281,72 @@ def test_compiled_masked_gate_chain(rng):
         gate = F.softmax(corr + Tensor(additive), axis=-1)
         return (corr * gate).mean(axis=-3).sum()
 
+    step = CompiledStep(loss_fn, lowering=lowering)
+    step.run()
+    assert step.plan.num_fused_chains == 1
+    _check_compiled_gradients(loss_fn, [x] + conv.parameters(),
+                              lowering=lowering)
+
+
+def _region_chain_loss(conv, pool, x, additive, probe):
+    """RegionSA's correlation chain, Eq. 13-14, weighted by ``probe`` so
+    the channel-mean gradient is not uniform."""
+    def loss_fn():
+        corr = pool(conv(x))
+        scores = corr if additive is None else corr + Tensor(additive)
+        gated = corr * F.softmax(scores, axis=-1)
+        return (gated.mean(axis=-3) * probe).sum()
+    return loss_fn
+
+
+def _region_chain_case(rng, n, channels, batched):
+    conv = Conv2d(1, channels, kernel_size=3, rng=rng)
+    conv.bias.data[...] = rng.standard_normal(channels)
+    lead = (2,) if batched else ()
+    x = Tensor(rng.standard_normal(lead + (1, n, n)), requires_grad=True)
+    probe = Tensor(rng.standard_normal(lead + (n, n)))
+    additive = None
+    if batched:
+        keep = np.ones((2, n))
+        keep[0, max(1, n - 2):] = 0.0
+        additive = F.additive_key_mask(keep)
+    return conv, x, _region_chain_loss(conv, _AvgPool2d(kernel_size=3), x,
+                                       additive, probe)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("batched", [False, True],
+                         ids=["unbatched", "batched_masked"])
+def test_compiled_region_chain_wide(n, batched, rng):
+    """c=12 channels (more than the 9 pooled taps) through the whole-chain
+    v2 kernel pair; at n ≤ 2 the taps' border corrections overlap."""
+    conv, x, loss_fn = _region_chain_case(rng, n, 12, batched)
     step = CompiledStep(loss_fn)
     step.run()
     assert step.plan.num_fused_chains == 1
     _check_compiled_gradients(loss_fn, [x] + conv.parameters())
+
+
+@pytest.mark.parametrize("lowering", ["v1", "v2"])
+def test_region_chain_kernel_lists(lowering, rng):
+    """v2 replays a RegionSA chain as one kernel per direction, with no
+    conv2d, channel-sum or 1/c scale kernel; v1 keeps all three.  The
+    remaining sum/mul kernels are the probe product and the loss sum."""
+    from collections import Counter
+
+    _, _, loss_fn = _region_chain_case(rng, 4, 12, batched=False)
+    step = CompiledStep(loss_fn, lowering=lowering)
+    step.run()
+    forward = Counter(tag for tag, _ in step.plan._forward_meta)
+    backward = Counter(tag for tag, _ in step.plan._backward_meta)
+    if lowering == "v2":
+        assert forward == {"F:fused_gate": 1, "F:mul": 1, "F:sum": 1}
+        assert backward == {"B:fused_gate": 1, "B:mul": 1, "B:sum": 1}
+    else:
+        assert forward == {"F:conv2d": 1, "F:fused_gate": 1, "F:mul": 2,
+                           "F:sum": 2}
+        assert backward == {"B:conv2d": 1, "B:fused_gate": 1, "B:mul": 2,
+                            "B:sum": 2}
 
 
 def test_compiled_external_attention(rng):

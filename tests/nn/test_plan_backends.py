@@ -232,6 +232,50 @@ class TestThreadedBackend:
         for key in serial:
             assert (serial[key] == threaded[key]).all()
 
+    def test_profile_times_threaded_slices(self, city, tiny_config,
+                                           monkeypatch):
+        """profile() times what a threaded replay executes: every
+        partitioned kernel runs as pool.run(slices), on the training
+        plan and the inference plan alike."""
+        from repro.nn import no_grad, record_forward
+        from repro.nn.compile import InferencePlan
+
+        monkeypatch.setattr(compile_mod, "_PARTITION_MIN_ELEMENTS", 64)
+        model, views = _build_model(city, tiny_config)
+        step = CompiledStep(lambda: model.loss(views), backend="threaded",
+                            num_workers=4)
+        step.run()
+        model.eval()
+        slots = [Tensor(np.array(m)) for m in views.matrices]
+        with no_grad():
+            output, nodes = record_forward(lambda: model.forward(slots))
+        model.train()
+        infer = InferencePlan(output, nodes, slots,
+                              params=model.parameters(),
+                              backend="threaded", num_workers=4)
+
+        calls = []
+
+        class SpyPool:
+            def __init__(self, pool):
+                self._pool = pool
+
+            def run(self, thunks):
+                calls.append(len(thunks))
+                self._pool.run(thunks)
+
+        for plan, replay in ((step.plan, step.plan.replay),
+                             (infer, lambda: infer.run(views.matrices))):
+            assert plan.num_threaded_ops > 0
+            monkeypatch.setattr(plan, "_worker_pool",
+                                SpyPool(plan._worker_pool))
+            calls.clear()
+            replay()
+            assert len(calls) == plan.num_threaded_ops
+            calls.clear()
+            plan.profile(replays=2)
+            assert len(calls) == 2 * plan.num_threaded_ops
+
     def test_both_lowerings_threaded_bitwise(self, city, tiny_config,
                                              monkeypatch):
         # The v1 kernels must partition (or serialize) just as exactly:

@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.nn import Tensor
+from repro.nn import (
+    AvgPool2d,
+    CompiledStep,
+    Conv2d,
+    InferencePlan,
+    Tensor,
+    no_grad,
+    record_forward,
+    use_dtype,
+)
 from repro.nn import functional as F
 
 _FLOATS = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False, width=64)
@@ -101,3 +110,81 @@ def test_layernorm_statistics(x):
 def test_cosine_similarity_bounded(x):
     sim = F.cosine_similarity_matrix(x)
     assert (sim <= 1.0 + 1e-7).all() and (sim >= -1.0 - 1e-7).all()
+
+
+#: Fused RegionSA chain vs the eager ops, relative to the largest
+#: reference value: the lowering only re-associates (≈1e-16 in float64).
+_CHAIN_TOLERANCE = {np.float64: 1e-8, np.float32: 1e-4}
+
+
+@st.composite
+def _region_chain_cases(draw):
+    n = draw(st.integers(1, 7))
+    channels = draw(st.integers(1, 12))
+    batch = draw(st.one_of(st.none(), st.integers(1, 3)))
+    keep = None
+    if batch is not None:
+        # Ragged: each item keeps its first n_i ≥ 1 regions.
+        sizes = draw(st.lists(st.integers(1, n), min_size=batch,
+                              max_size=batch))
+        keep = (np.arange(n) < np.array(sizes)[:, None]).astype(float)
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, channels, batch, keep, dtype, seed
+
+
+def _region_chain(conv, pool, x, additive):
+    corr = pool(conv(x))
+    scores = corr if additive is None else corr + Tensor(additive)
+    return (corr * F.softmax(scores, axis=-1)).mean(axis=-3)
+
+
+def _assert_close(actual, expected, tolerance):
+    scale = max(1.0, float(np.abs(expected).max()))
+    np.testing.assert_allclose(actual, expected, rtol=0.0,
+                               atol=tolerance * scale)
+
+
+@given(_region_chain_cases())
+def test_fused_region_chain_matches_eager(case):
+    """The v2 RegionSA kernel pair — forward through an InferencePlan,
+    backward through a replayed training plan — against the eager
+    conv -> pool -> [+mask] -> softmax -> ⊙ -> channel-mean chain."""
+    n, channels, batch, keep, dtype, seed = case
+    rng = np.random.default_rng(seed)
+    lead = () if batch is None else (batch,)
+    with use_dtype(dtype):
+        conv = Conv2d(1, channels, rng=rng)
+        conv.bias.data[...] = rng.standard_normal(channels)
+        pool = AvgPool2d()
+        a = rng.random(lead + (1, n, n))
+        additive = None
+        if keep is not None:
+            a *= keep[:, None, :, None]     # RegionSA zeroes padded rows
+            additive = F.additive_key_mask(keep)
+        a = a.astype(dtype)
+        probe = Tensor(rng.standard_normal(lead + (n, n)))
+
+        x = Tensor(a, requires_grad=True)
+        out = _region_chain(conv, pool, x, additive)
+        (out * probe).sum().backward()
+        expected = [out.data, x.grad] + [p.grad for p in conv.parameters()]
+        conv.zero_grad()
+
+        slot = Tensor(a.copy())
+        with no_grad():
+            output, nodes = record_forward(
+                lambda: _region_chain(conv, pool, slot, additive))
+        plan = InferencePlan(output, nodes, [slot], params=conv.parameters())
+        assert plan.num_fused_chains == 1
+        forward = plan.run([a])
+
+        xc = Tensor(a.copy(), requires_grad=True)
+        step = CompiledStep(
+            lambda: (_region_chain(conv, pool, xc, additive) * probe).sum())
+        step.run()
+        step.run()      # the lowered forward + backward, not the record
+        actual = [forward, xc.grad] + [p.grad for p in conv.parameters()]
+    for got, want in zip(actual, expected):
+        assert got.dtype == dtype
+        _assert_close(got, want, _CHAIN_TOLERANCE[dtype])
