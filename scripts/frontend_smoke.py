@@ -27,7 +27,12 @@ Asserted every generation:
   included) — the JSON wire codec and the dispatch→worker re-batching
   are lossless;
 - p50/p99 latency and aggregate regions/sec are present and sane in the
-  frontend's stats report.
+  frontend's stats report;
+- the documented wire format holds for a client that is not this
+  library: a request line built by hand with stdlib ``json``,
+  ``base64`` and ``struct`` serves bytes equal to the in-process
+  reference, and an old-format (nested-list) line gets a typed
+  ``bad_request`` reply on a connection that keeps serving.
 
 Exit code 0 on success; any assertion failure raises.
 """
@@ -35,6 +40,10 @@ Exit code 0 on success; any assertion failure raises.
 from __future__ import annotations
 
 import argparse
+import base64
+import json
+import socket
+import struct
 import sys
 from pathlib import Path
 
@@ -91,6 +100,75 @@ def smoke_trace() -> list[EmbedRequest]:
     return requests
 
 
+#: struct format codes of the wire dtypes.
+_STRUCT_CODES = {"<f8": "d", "<f4": "f"}
+
+
+def _wire_matrix(matrix: np.ndarray) -> dict:
+    """A float64 view matrix in the documented wire form, built with
+    stdlib ``struct`` + ``base64`` from its Python float values."""
+    rows, cols = matrix.shape
+    data = struct.pack(f"<{rows * cols}d", *matrix.ravel().tolist())
+    return {"dtype": "<f8", "shape": [rows, cols],
+            "data": base64.b64encode(data).decode("ascii")}
+
+
+def speak_documented_protocol(frontend: ServingFrontend, want,
+                              generation: str) -> None:
+    """Drive the frontend over a raw socket with lines built by hand
+    from the documented protocol (stdlib ``json``/``base64``/``struct``,
+    no library codec):
+
+    - an old-format line (nested-list matrices) gets a typed
+      ``bad_request`` reply, counted in ``stats``;
+    - the same connection then serves a hand-built request for the full
+      city, whose hand-decoded embedding bytes equal the in-process
+      reference ``want`` (the trace's full-city response, served alone
+      in its bucket there too).
+    """
+    views = load_city(_CITY, seed=_SEED).views()
+    request = {"op": "embed", "name": "by-hand", "views": {
+        "names": list(views.names),
+        "matrices": [_wire_matrix(m) for m in views.matrices]}}
+    old_format = dict(request, views={
+        "names": list(views.names),
+        "matrices": [m.tolist() for m in views.matrices]})
+    with socket.create_connection((frontend.host, frontend.port),
+                                  timeout=120.0) as sock, \
+            sock.makefile("rb") as rfile:
+
+        def send(payload: dict) -> None:
+            sock.sendall(json.dumps(payload).encode("utf-8") + b"\n")
+
+        send(dict(old_format, id=1))
+        rejected = json.loads(rfile.readline())
+        assert (rejected["ok"], rejected["error"], rejected["id"]) == \
+            (False, "bad_request", 1), f"[{generation}] {rejected}"
+        send(dict(request, id=2))
+        send({"op": "flush", "id": 3})
+        replies = {r["id"]: r for r in
+                   (json.loads(rfile.readline()) for _ in range(2))}
+        send({"op": "stats", "id": 4})
+        stats = json.loads(rfile.readline())["stats"]
+
+    reply = replies[2]
+    assert reply["ok"], f"[{generation}] hand-built request failed: {reply}"
+    embeddings = reply["embeddings"]
+    assert embeddings["dtype"] == want.embeddings.dtype.str
+    assert embeddings["shape"] == list(want.embeddings.shape)
+    got = base64.b64decode(embeddings["data"], validate=True)
+    expected = struct.pack(f"<{want.embeddings.size}"
+                           f"{_STRUCT_CODES[embeddings['dtype']]}",
+                           *want.embeddings.ravel().tolist())
+    assert got == expected, (
+        f"[{generation}] hand-decoded embeddings differ from the "
+        f"in-process reference")
+    assert stats["rejected"] == 1
+    assert stats["fleet"]["record_epochs"] == 0
+    print(f"[{generation}] documented protocol: old format rejected "
+          f"typed, hand-built request bit-identical ({len(got)} bytes)")
+
+
 def replay_through_socket(fleet: ServingFleet, reference,
                           generation: str) -> None:
     service_caps = reference["service"]
@@ -103,6 +181,8 @@ def replay_through_socket(fleet: ServingFleet, reference,
         with thread.client() as client:
             responses = client.embed_many(smoke_trace())
             stats = client.stats()
+        speak_documented_protocol(frontend, reference["responses"][0],
+                                  generation)
     finally:
         # Keep the fleet running: its lifecycle belongs to main() (the
         # restart generation bounces it explicitly).

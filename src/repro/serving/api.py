@@ -23,14 +23,22 @@ distinguish "this request can never be served" from "retry later"
 
 The ``*_to_wire`` / ``*_from_wire`` functions are the JSON codecs of
 the newline-delimited socket protocol (:mod:`repro.serving.frontend`).
-Floats cross the wire via ``repr`` (shortest round-trip), so encoded
-matrices and embeddings survive the socket **bit-identically**.
+Every matrix crosses the wire as one object::
+
+    {"dtype": "<f8" | "<f4", "shape": [rows, cols],
+     "data": <base64 of the C-order little-endian bytes>}
+
+Request view matrices travel as float64, response embeddings in their
+own dtype.  The bytes are the array's own, so matrices and embeddings
+survive the socket **bit-identically** (NaN, ±inf and −0.0 included)
+and every line is strict JSON.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -245,18 +253,80 @@ class EmbedTicket:
 # Wire codecs (the NDJSON socket protocol's payload layer)
 # ----------------------------------------------------------------------
 
-def _matrix_to_wire(matrix: np.ndarray) -> list:
-    # json.dumps renders floats with repr (shortest round-trip), so the
-    # nested-list form is lossless for every finite float64.
-    return np.asarray(matrix, dtype=np.float64).tolist()
+#: The matrix dtypes the wire carries, by their type string.
+_WIRE_DTYPES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
+
+#: Every :class:`EmbedResponse` field but the embeddings.
+_PROVENANCE = tuple(f.name for f in fields(EmbedResponse)
+                    if f.name != "embeddings")
+
+
+def _bad_request(message: str) -> AdmissionError:
+    return AdmissionError(message, reason="bad_request")
+
+
+def _wire_dtype(dtype) -> np.dtype | None:
+    """The little-endian wire dtype for ``dtype``; ``None`` if the wire
+    cannot carry it."""
+    return _WIRE_DTYPES.get(np.dtype(dtype).newbyteorder("<").str)
+
+
+def _matrix_to_wire(matrix: np.ndarray, dtype=None) -> dict:
+    """Encode a 2-D matrix as a wire matrix object in ``dtype`` (default:
+    its own).  Any memory layout or byte order encodes to the same
+    string as its C-order little-endian copy."""
+    wire_dtype = _wire_dtype(matrix.dtype if dtype is None else dtype)
+    if wire_dtype is None or matrix.ndim != 2:
+        raise ValueError(f"the wire carries 2-D float64/float32 matrices, "
+                         f"not {matrix.ndim}-D {matrix.dtype}")
+    data = np.ascontiguousarray(matrix, dtype=wire_dtype)
+    return {"dtype": wire_dtype.str, "shape": list(data.shape),
+            "data": base64.b64encode(data).decode("ascii")}
+
+
+def _matrix_from_wire(payload) -> np.ndarray:
+    """Decode a wire matrix object into a writable C-order array.
+
+    Dtype, shape and data length are all checked before anything is
+    allocated, so a matrix claiming a huge shape costs nothing to
+    reject.  Every failure raises :class:`AdmissionError` (``reason
+    "bad_request"``).
+    """
+    if not isinstance(payload, dict):
+        raise _bad_request(f"a matrix must be a {{dtype, shape, data}} "
+                           f"object, not {type(payload).__name__}")
+    name, shape, data = (payload.get(k) for k in ("dtype", "shape", "data"))
+    dtype = _WIRE_DTYPES.get(name) if isinstance(name, str) else None
+    if dtype is None:
+        raise _bad_request(f"matrix dtype {name!r} is not one of "
+                           f"{sorted(_WIRE_DTYPES)}")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(d) is int and d >= 0 for d in shape)):
+        raise _bad_request(f"matrix shape {shape!r} is not two "
+                           f"non-negative integers")
+    if not isinstance(data, str):
+        raise _bad_request("matrix data must be a base64 string")
+    nbytes = shape[0] * shape[1] * dtype.itemsize
+    # Padded base64 of nbytes is exactly 4·⌈nbytes/3⌉ characters.
+    if len(data) != 4 * -(-nbytes // 3):
+        raise _bad_request(f"matrix data of {len(data)} base64 characters "
+                           f"cannot hold a {shape} {name} matrix")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:     # binascii.Error, non-ASCII text
+        raise _bad_request(f"matrix data is not base64: {exc}") from exc
+    if len(raw) != nbytes:
+        raise _bad_request(f"matrix data decodes to {len(raw)} bytes; a "
+                           f"{shape} {name} matrix has {nbytes}")
+    return np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)
 
 
 def request_to_wire(request: EmbedRequest) -> dict:
     """Encode a request for the socket protocol (``op: "embed"``).
 
-    Only the serving-relevant fields travel: normalized view matrices,
-    dtype, region subset and name.  ``raw`` count matrices are a
-    training-loss input and never cross the serving wire.
+    Only the serving-relevant fields travel: normalized view matrices
+    (as float64), dtype, region subset and name.  ``raw`` count matrices
+    are a training-loss input and never cross the serving wire.
     """
     return {
         "op": "embed",
@@ -265,7 +335,8 @@ def request_to_wire(request: EmbedRequest) -> dict:
         "region_subset": request.region_subset,
         "views": {
             "names": list(request.views.names),
-            "matrices": [_matrix_to_wire(m) for m in request.views.matrices],
+            "matrices": [_matrix_to_wire(m, np.float64)
+                         for m in request.views.matrices],
         },
     }
 
@@ -273,7 +344,9 @@ def request_to_wire(request: EmbedRequest) -> dict:
 def request_from_wire(payload: dict) -> EmbedRequest:
     """Decode an ``op: "embed"`` payload back into an :class:`EmbedRequest`.
 
-    Malformed payloads raise :class:`AdmissionError` (``reason
+    View matrices decode to float64 (a ``"<f4"`` one is widened
+    exactly).  Malformed payloads, and embedding dtypes the wire cannot
+    carry back, raise :class:`AdmissionError` (``reason
     "bad_request"``) so a frontend can answer with a typed rejection
     instead of a stack trace.
     """
@@ -281,36 +354,31 @@ def request_from_wire(payload: dict) -> EmbedRequest:
         views_payload = payload["views"]
         views = ViewSet(
             names=tuple(views_payload["names"]),
-            matrices=[np.asarray(m, dtype=np.float64)
+            matrices=[_matrix_from_wire(m).astype(np.float64, copy=False)
                       for m in views_payload["matrices"]])
-        return EmbedRequest(views, dtype=payload.get("dtype"),
+        dtype = payload.get("dtype")
+        if dtype is not None and _wire_dtype(dtype) is None:
+            raise _bad_request(f"embedding dtype {dtype!r} cannot travel "
+                               f"the wire (float64 or float32)")
+        return EmbedRequest(views, dtype=dtype,
                             region_subset=payload.get("region_subset"),
                             name=payload.get("name", ""))
     except AdmissionError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise AdmissionError(f"malformed embed payload: {exc}",
-                             reason="bad_request") from exc
+        raise _bad_request(f"malformed embed payload: {exc}") from exc
 
 
 def response_to_wire(response: EmbedResponse) -> dict:
-    """Encode a served response (``ok: true``) for the socket protocol."""
-    wire = asdict(response)
+    """Encode a served response (``ok: true``) for the socket protocol;
+    the embeddings travel in their own dtype."""
+    wire = {name: getattr(response, name) for name in _PROVENANCE}
     wire["ok"] = True
-    # Shape travels explicitly: an empty region subset would otherwise
-    # lose its (0, d) embedding width in the nested-list form.
-    wire["shape"] = list(response.embeddings.shape)
-    wire["dtype"] = str(response.embeddings.dtype)
     wire["embeddings"] = _matrix_to_wire(response.embeddings)
     return wire
 
 
 def response_from_wire(payload: dict) -> EmbedResponse:
     """Decode an ``ok: true`` payload back into an :class:`EmbedResponse`."""
-    fields = {k: payload[k] for k in (
-        "request_id", "name", "bucket_id", "n_regions", "batch_size",
-        "padded", "padding_waste", "plan_event", "wait_seconds",
-        "compute_seconds")}
-    embeddings = np.asarray(payload["embeddings"], dtype=np.float64).reshape(
-        payload["shape"]).astype(payload["dtype"], copy=False)
-    return EmbedResponse(embeddings=embeddings, **fields)
+    return EmbedResponse(embeddings=_matrix_from_wire(payload["embeddings"]),
+                         **{name: payload[name] for name in _PROVENANCE})

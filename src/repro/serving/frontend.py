@@ -17,18 +17,25 @@ matching replies — replies may interleave across in-flight requests on
 one connection):
 
 - ``{"op": "embed", "id"?, "name"?, "dtype"?, "region_subset"?,
-  "views": {"names": [...], "matrices": [[[...]]]}}`` →
-  ``{"ok": true, "embeddings": ..., "latency_seconds": ...,
+  "views": {"names": [...], "matrices": [<matrix>, ...]}}`` →
+  ``{"ok": true, "embeddings": <matrix>, "latency_seconds": ...,
   <EmbedResponse provenance>}`` or
   ``{"ok": false, "error": <reason>, "message": ...,
   "retry_after": <seconds or null>}``;
+- ``{"op": "flush"}`` → ``{"ok": true, "dispatched": <batches>}``:
+  dispatch every queued bucket now;
 - ``{"op": "stats"}`` → the frontend report (served/shed counts,
   p50/p99 latency, aggregate regions/sec, queue depths, fleet record
   epochs);
 - ``{"op": "ping"}`` → ``{"ok": true, "pong": true}``.
 
-Floats travel as ``repr`` (shortest round-trip), so embeddings are
-**bit-identical** to the in-process service's on the same trace.
+The echoed ``id`` is always a reply's last key.  A ``<matrix>`` is
+``{"dtype": "<f8" | "<f4", "shape": [rows, cols], "data": <base64 of
+the C-order little-endian bytes>}`` (:mod:`repro.serving.api`): view
+matrices travel as float64, embeddings in their own dtype, so
+embeddings are **bit-identical** to the in-process service's on the
+same trace.  A matrix that fails the decoder's checks gets a typed
+``bad_request`` reply.
 
 Admission control and backpressure
 ----------------------------------
@@ -162,11 +169,13 @@ class ServingFrontend:
         :attr:`port` after :meth:`start`).
     max_line_bytes:
         Stream buffer limit for one protocol line.  A full-city embed
-        request serializes its view matrices inline, so this must
-        comfortably exceed the largest admissible request (the asyncio
-        default of 64 KiB does not); longer lines get a typed
-        ``bad_request`` reply and the connection is closed (the stream
-        cannot resynchronize mid-line).
+        request carries its view matrices inline as base64 float64,
+        8 · 4/3 bytes per value (a full 180-region nyc request is
+        ≈760 KB), so this must comfortably exceed the largest
+        admissible request (the asyncio default of 64 KiB does not);
+        longer lines get a typed ``bad_request`` reply and the
+        connection is closed (the stream cannot resynchronize
+        mid-line).
     """
 
     def __init__(self, fleet: ServingFleet, *, n_max: int,

@@ -13,6 +13,8 @@ pytest-asyncio), driven through the blocking :class:`FrontendClient`
 exactly the way scripts and the smoke job drive it.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,44 @@ def make_frontend(fleet: ServingFleet, **kwargs) -> ServingFrontend:
     return ServingFrontend(fleet, **kwargs)
 
 
+def _response(embeddings: np.ndarray) -> EmbedResponse:
+    return EmbedResponse(
+        request_id=1, name="", embeddings=embeddings,
+        bucket_id="n8/d12x6/model", n_regions=len(embeddings), batch_size=1,
+        padded=True, padding_waste=0.0, plan_event="hit",
+        wait_seconds=0.0, compute_seconds=0.0)
+
+
+#: Ways to break a wire matrix object, given it and the (6, 12) float64
+#: matrix it encodes; each must decode to a typed ``bad_request``.
+MALFORMED_MATRICES = {
+    "alphabet": lambda m, a: dict(m, data="*" + m["data"][1:]),
+    "alphabet_urlsafe": lambda m, a: dict(m, data="-_" + m["data"][2:]),
+    "truncated": lambda m, a: dict(m, data=m["data"][:-4]),
+    "truncated_padded": lambda m, a: dict(m, data=m["data"][:-2] + "=="),
+    "overlong": lambda m, a: dict(m, data=m["data"] + "AAAA"),
+    "dtype_big_endian": lambda m, a: dict(m, dtype=">f8"),
+    "dtype_int": lambda m, a: dict(m, dtype="<i8"),
+    "dtype_object": lambda m, a: dict(m, dtype="|O"),
+    "shape_1d": lambda m, a: dict(m, shape=[72]),
+    "shape_3d": lambda m, a: dict(m, shape=[1, 6, 12]),
+    "shape_negative": lambda m, a: dict(m, shape=[-6, -12]),
+    "shape_float": lambda m, a: dict(m, shape=[6.0, 12]),
+    "shape_string": lambda m, a: dict(m, shape=[6, "12"]),
+    "shape_huge": lambda m, a: dict(m, shape=[10**9, 10**9]),
+    "nested_list": lambda m, a: a.tolist(),
+}
+
+
+def malformed_request(case: str) -> dict:
+    """An embed payload whose first view matrix is broken as ``case``."""
+    views = make_views(6)
+    wire = json.loads(json.dumps(request_to_wire(EmbedRequest(views))))
+    matrices = wire["views"]["matrices"]
+    matrices[0] = MALFORMED_MATRICES[case](matrices[0], views.matrices[0])
+    return wire
+
+
 # ----------------------------------------------------------------------
 # Wire codecs (no fleet needed)
 # ----------------------------------------------------------------------
@@ -92,7 +132,6 @@ def make_frontend(fleet: ServingFleet, **kwargs) -> ServingFrontend:
 class TestWireCodecs:
 
     def test_request_roundtrip_is_bit_identical(self):
-        import json
         request = EmbedRequest(make_views(7, seed=3), dtype="float32",
                                region_subset=[2, 0], name="chi")
         wire = json.loads(json.dumps(request_to_wire(request)))
@@ -103,10 +142,9 @@ class TestWireCodecs:
         assert decoded.views.names == request.views.names
         for a, b in zip(decoded.views.matrices, request.views.matrices):
             assert a.dtype == np.float64
-            assert np.array_equal(a, b)   # exact: repr round-trip
+            assert a.tobytes() == b.tobytes()   # the bytes themselves travel
 
     def test_response_roundtrip_preserves_dtype_and_shape(self):
-        import json
         embeddings = np.random.default_rng(0).standard_normal(
             (4, 8)).astype(np.float32)
         response = EmbedResponse(
@@ -124,17 +162,49 @@ class TestWireCodecs:
         assert decoded.batch_size == 2
 
     def test_empty_subset_keeps_embedding_width(self):
-        response = EmbedResponse(
-            request_id=1, name="", embeddings=np.zeros((0, 8)),
-            bucket_id="n8/d12x6/model", n_regions=0, batch_size=1,
-            padded=True, padding_waste=0.0, plan_event="hit",
-            wait_seconds=0.0, compute_seconds=0.0)
-        decoded = response_from_wire(response_to_wire(response))
+        wire = response_to_wire(_response(np.zeros((0, 8), np.float32)))
+        # The matrix object carries shape and dtype; the reply has no
+        # separate fields for them.
+        assert wire["embeddings"] == {"dtype": "<f4", "shape": [0, 8],
+                                      "data": ""}
+        assert "shape" not in wire and "dtype" not in wire
+        decoded = response_from_wire(wire)
         assert decoded.embeddings.shape == (0, 8)
+        assert decoded.embeddings.dtype == np.float32
 
     def test_malformed_payload_is_typed(self):
         with pytest.raises(AdmissionError) as excinfo:
             request_from_wire({"op": "embed", "views": {"names": ["m"]}})
+        assert excinfo.value.reason == "bad_request"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MATRICES))
+    def test_malformed_matrix_is_typed(self, case):
+        wire = malformed_request(case)
+        with pytest.raises(AdmissionError) as excinfo:
+            request_from_wire(wire)
+        assert excinfo.value.reason == "bad_request"
+        response = response_to_wire(_response(np.zeros((3, 2))))
+        response["embeddings"] = wire["views"]["matrices"][0]
+        with pytest.raises(AdmissionError) as excinfo:
+            response_from_wire(response)
+        assert excinfo.value.reason == "bad_request"
+
+    def test_huge_claimed_shape_is_rejected_before_allocating(self):
+        import tracemalloc
+        wire = malformed_request("shape_huge")
+        tracemalloc.start()
+        try:
+            with pytest.raises(AdmissionError):
+                request_from_wire(wire)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_embedding_dtype_the_wire_cannot_carry_is_typed(self):
+        wire = request_to_wire(EmbedRequest(make_views(4), dtype="float16"))
+        with pytest.raises(AdmissionError) as excinfo:
+            request_from_wire(wire)
         assert excinfo.value.reason == "bad_request"
 
 
@@ -243,6 +313,43 @@ class TestFrontendServing:
             reply = client.call({"op": "teapot"})
         assert reply["ok"] is False
         assert reply["error"] == "bad_request"
+
+    def test_malformed_matrices_get_typed_replies_and_counted(self, stack):
+        """Every malformed matrix gets a typed reply over the socket,
+        counts as a rejection, and the connection serves on."""
+        with stack.client() as client:
+            rejected = client.stats()["rejected"]
+            for i, case in enumerate(sorted(MALFORMED_MATRICES)):
+                reply = client.call(dict(malformed_request(case), id=i))
+                assert reply["ok"] is False, case
+                assert reply["error"] == "bad_request", case
+                assert reply["id"] == i
+            assert client.stats()["rejected"] == \
+                rejected + len(MALFORMED_MATRICES)
+            [served] = client.embed_many(
+                [EmbedRequest(make_views(6, seed=93))])
+        assert served.embeddings.shape == (6, TINY["d"])
+
+    def test_every_reply_ends_with_the_echoed_id(self, stack):
+        """perfbench's open loop reads the echoed id off the end of each
+        reply line without parsing it: pin that layout for every op."""
+        payloads = [
+            dict(request_to_wire(EmbedRequest(make_views(6, seed=94))), id=1),
+            dict(malformed_request("nested_list"), id=2),
+            {"op": "flush", "id": 3},
+            {"op": "stats", "id": 4},
+            {"op": "ping", "id": 5},
+        ]
+        with stack.client() as client:
+            for payload in payloads:
+                client._send(payload)
+            lines = [client._rfile.readline() for _ in payloads]
+        replies = {json.loads(line)["id"]: line for line in lines}
+        assert sorted(replies) == [1, 2, 3, 4, 5]
+        for i, line in replies.items():
+            assert line.endswith(b'"id": %d}\n' % i), line[-80:]
+        assert json.loads(replies[1])["ok"] is True
+        assert json.loads(replies[2])["error"] == "bad_request"
 
     def test_stats_over_the_socket(self, stack):
         with stack.client() as client:
