@@ -16,7 +16,11 @@ attaches the pack, replays the same traffic and asserts:
 
 - **zero record epochs** (``RECORD_STATS.total == 0``) and zero plan
   cache misses — the warm path never falls back to recording;
-- embeddings bit-identical to the build phase's checksums.
+- embeddings bit-identical to the build phase's checksums;
+- every flush ran at its co-batch width ``min(n_max, max n_i + 1)``:
+  its responses report that padding, and the resident plans (relowered
+  from the pack) have exactly those input widths, so no narrow flush
+  ran at ``n_max``.
 
 Exit code 0 on success; any assertion failure raises.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import defaultdict, deque
 from pathlib import Path
 
 import numpy as np
@@ -78,12 +83,45 @@ def build(pack_dir: Path) -> None:
           f"{len(responses)} traffic responses checksummed")
 
 
+def check_flush_widths(service, responses, mark: int) -> list[int]:
+    """Assert every flush after ``mark`` ran at ``min(n_max, max n_i +
+    1)`` regions; returns the widths in flush order.
+
+    Responses are matched to flushes by bucket, first in first out, as
+    the scheduler takes them.  The resident plans are the ones the
+    flushes replayed, so their input widths are what actually ran.
+    """
+    queues = defaultdict(deque)
+    for response in responses:
+        queues[response.bucket_id].append(response)
+    widths, shapes = [], set()
+    for flush in (f for f in service.flush_log if f["seq"] > mark):
+        rows, b = flush["n_regions"], flush["batch_size"]
+        width = min(service.n_max, max(rows) + 1)
+        served = [queues[flush["bucket_id"]].popleft() for _ in range(b)]
+        assert [r.n_regions for r in served] == rows, (flush, served)
+        waste = 1.0 - sum(rows) / (b * width)
+        assert all(r.padding_waste == waste for r in served), (
+            f"flush {rows} did not report width {width}")
+        widths.append(width)
+        shapes.add((b, width))
+    resident = {tuple(p["shapes"][0][:2])
+                for p in service.plan_cache.resident_report()}
+    assert resident == shapes, (
+        f"resident plan (batch, width) shapes {sorted(resident)} != the "
+        f"flushes' {sorted(shapes)}")
+    assert any(w < service.n_max for w in widths), (
+        f"no flush ran narrower than n_max={service.n_max}: {widths}")
+    return widths
+
+
 def serve(pack_dir: Path) -> None:
     expected = json.loads((pack_dir / _CHECKSUMS).read_text())
     traffic = smoke_traffic()
     service = smoke_service(traffic)
     WarmupPack.load(pack_dir).attach(service)
     RECORD_STATS.reset()
+    mark = service.flush_seq
     responses = service.run([EmbedRequest(vs) for vs in traffic])
     stats = service.plan_cache.stats()
     assert RECORD_STATS.total == 0, (
@@ -92,9 +130,11 @@ def serve(pack_dir: Path) -> None:
     got = checksums(responses)
     assert got == expected, (
         f"embeddings drifted across the restart:\n  {expected}\n  {got}")
+    widths = check_flush_widths(service, responses, mark)
     report = service.stats()
     print(f"warm serve ok: {len(responses)} responses, 0 record epochs, "
-          f"cache {stats}, padding {report['padding_overhead']:.0%}, "
+          f"cache {stats}, flush widths {widths} (n_max {service.n_max}), "
+          f"padding {report['padding_overhead']:.0%}, "
           f"{report['regions_per_sec']:.0f} regions/s")
 
 

@@ -34,7 +34,11 @@ scores everywhere a sum crosses regions; attention key masks make padded
 softmax weights exactly zero (see ``MASK_NEG`` in
 :mod:`repro.nn.functional`); and RegionSA's convolution sees an
 exactly-zero boundary outside the real n×n block — the same zero boundary
-same-padding convolution applies to an unpadded matrix.
+same-padding convolution applies to an unpadded matrix.  Its pool does
+not: one cell past the block the conv output holds the conv bias plus
+the real neighbours, so padding changes RegionSA's answer for a city
+(every width of at least n_i + 1 gives the same one, up to summation
+order).
 """
 
 from __future__ import annotations
@@ -159,9 +163,12 @@ def make_batch(cities: Sequence[CityLike], n_max: int | None = None,
     """Stack cities into one padded batch (ragged n and view widths ok).
 
     ``n_max`` / ``view_dims`` force the padded layout instead of using
-    the batch's own maxima — the serving scheduler pads every flush to
-    its *model's* capacity so the resulting shapes (and therefore the
-    compiled-plan cache keys) stay stable across flushes.
+    the batch's own maxima.  The serving service pads each flush to the
+    model's view widths and to ``min(model n_max, widest + 1)`` regions
+    — one padding column past the widest city, which RegionSA's pool
+    needs (see :class:`repro.core.intra_afl.RegionSA`) — so a recurring
+    co-batch composition recurs as the same shapes and compiled-plan
+    cache key.
     """
     view_sets = [_as_viewset(city) for city in cities]
     if not view_sets:

@@ -46,6 +46,16 @@ class RegionSA(Module):
     kernel sees the same zero boundary an unpadded matrix would), and the
     gating softmax of Eq. 14 is restricted to real columns — real-region
     outputs are bit-identical to an unbatched padded run.
+
+    A masked input may be narrower than ``n_regions`` when every row's
+    last region is padding: the gated coefficients of padded columns are
+    exactly zero, so only the first ``w`` columns of the correlation
+    MLP's weight can touch a real region.  The padding column must stay
+    inside the image because the 3x3 pool at a row's last real region
+    reads the conv output one cell further out, which holds the conv
+    bias plus its real neighbours — not the zero the pool's border
+    would read.  With it inside, real regions match a full-width run up
+    to summation order.  At full width the forward pass is unchanged.
     """
 
     def __init__(self, d_model: int, n_regions: int, num_heads: int = 4,
@@ -74,8 +84,13 @@ class RegionSA(Module):
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         n = x.shape[-2]
-        if n != self.n_regions:
+        if n > self.n_regions:
             raise ValueError(f"RegionSA built for n={self.n_regions}, got input with n={n}")
+        if n < self.n_regions and (mask is None or np.any(mask[..., -1])):
+            raise ValueError(
+                f"RegionSA built for n={self.n_regions} takes an input of "
+                f"width {n} only with a mask whose last region is padding "
+                f"in every row")
         query = self._split_heads(self.w_query(x))
         key = self._split_heads(self.w_key(x))
         value = self._split_heads(self.w_value(x))
@@ -98,7 +113,12 @@ class RegionSA(Module):
         else:
             gate = F.softmax(corr + Tensor(F.additive_key_mask(mask)), axis=-1)
         gated = corr * gate                                  # A' ⊙ softmax(A')
-        c_a = self.correlation_mlp(gated.mean(axis=-3))      # (..., n, n) -> (..., n, d)
+        pooled = gated.mean(axis=-3)                         # (..., n, n)
+        if n == self.n_regions:
+            c_a = self.correlation_mlp(pooled)               # (..., n, d)
+        else:
+            mlp = self.correlation_mlp
+            c_a = pooled @ mlp.weight[:, :n].T + mlp.bias
         return c_v + c_a                                     # Eq. 15
 
 

@@ -210,7 +210,8 @@ class EmbedResponse:
     from the on-disk cache, no record), ``"record"`` (paid a record
     epoch) or ``"eager"`` (service running uncompiled).
     ``padding_waste`` is the padded fraction of the batch that served
-    this request: ``1 − Σ n_i / (b · n_max)``.
+    this request: ``1 − Σ n_i / (b · w)``, where ``w = min(n_max,
+    max n_i + 1)`` is the width the flush ran at.
     """
 
     request_id: int

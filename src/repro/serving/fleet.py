@@ -304,16 +304,16 @@ class ServingFleet:
         ``timeout`` bounds the **whole** handshake, not each worker's:
         the deadline is fixed once, and every queue wait gets only the
         remaining budget — ``n_workers`` slow builders cannot stretch
-        the wait to ``n_workers × timeout``.
+        the wait to ``n_workers × timeout``.  A missing or stale
+        ``pack_dir`` raises :meth:`WarmupPack.load`'s error before any
+        worker spawns.
         """
         if self.started:
             raise RuntimeError("fleet already started")
         if self.pack_dir is not None:
+            # A missing or stale pack fails here, once, before any spawn.
             from .warmup import WarmupPack
-            if not WarmupPack.exists(self.pack_dir):
-                raise FileNotFoundError(
-                    f"no warm-up pack manifest under {self.pack_dir}; build "
-                    f"one with WarmupPack.build (or pass pack_dir=None)")
+            WarmupPack.load(self.pack_dir)
         self._task_queue = self._ctx.Queue()
         self._result_queue = self._ctx.Queue()
         self.record_epochs = {}

@@ -10,12 +10,18 @@ that batch well together:
 - smaller buckets hold ragged traffic quantized to halving edges (a
   request lands in the smallest edge ≥ its ``n_regions``), so a flush
   co-batches cities within 2x of each other's size under one padded +
-  masked pass.  Every batch is still padded to the *model's* ``n_max``
-  — RegionSA's correlation MLP fixes the attention width at
-  construction (see :class:`repro.core.intra_afl.RegionSA`) — the
-  bucket edge controls *who is co-batched*, which is what makes mask
-  patterns (and therefore compiled-plan cache keys) recur under
-  repeating traffic;
+  masked pass.  The bucket edge decides *who is co-batched*, which is
+  what makes mask patterns (and therefore compiled-plan cache keys)
+  recur under repeating traffic.  The service pads each flush to
+  ``w = min(n_max, max n_i + 1)`` regions, not to the model's
+  ``n_max``: RegionSA projects through the first ``w`` columns of its
+  correlation MLP (see :class:`repro.core.intra_afl.RegionSA`).  The
+  ``+ 1`` is required: the 3x3 average pool at a row's last real region
+  reads the conv output one cell further out, and at width ``n_max``
+  that cell holds the conv bias plus its real neighbours; with it
+  inside the image every answer equals its ``n_max``-padded one up to
+  summation order.  The mask fixes ``w``, so the plan cache keys on it
+  already;
 - ``view_dims`` and ``dtype`` are exact-match keys: requests with
   different native view widths or different requested dtypes are never
   fused into one batch.

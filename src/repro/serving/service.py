@@ -58,7 +58,9 @@ __all__ = ["EmbeddingService"]
 def _infer_capacity(model: HAFusion) -> tuple[int | None, list[int]]:
     """Read the (n_max, view_dims) capacity off a model's weights.
 
-    ``n_max`` is RegionSA's construction-time attention width; a model
+    ``n_max`` is RegionSA's construction-time attention width: the
+    service's capacity, i.e. the widest batch it can run (narrower
+    flushes use the first columns of the correlation MLP).  A model
     built with vanilla intra attention has no width constraint and
     returns ``None`` (the caller must then pass ``n_max`` explicitly to
     use the scheduler).
@@ -84,7 +86,7 @@ class _BucketStats:
         self.requests = 0
         self.batches = 0
         self.regions = 0
-        self.slots = 0           # b * n_max per flush, summed
+        self.slots = 0           # b * w per flush (w: its width), summed
         self.seconds = 0.0
         self.plan_events: dict[str, int] = {}
 
@@ -110,9 +112,12 @@ class EmbeddingService:
     model:
         The shared-weight :class:`HAFusion` answering every request.
     n_max, view_dims, view_names:
-        The service's request capacity — the padded shape every batch is
-        brought to.  Inferred from the model's weights when omitted
-        (``view_names`` then defaults to the request traffic's names).
+        The service's request capacity — the widest batch it runs and
+        the view widths every batch is padded to.  A scheduler flush is
+        padded to ``min(n_max, max n_i + 1)`` regions (see
+        :mod:`repro.serving.scheduler`).  Inferred from the model's
+        weights when omitted (``view_names`` then defaults to the
+        request traffic's names).
     compiled:
         Serve through cached :class:`InferencePlan` replays (default) or
         the eager tape (``False`` — the debugging escape hatch).
@@ -357,6 +362,18 @@ class EmbeddingService:
                                                    default_dtype=model_dtype)
         return self._scheduler
 
+    def _flush_width(self, n_regions: Sequence[int]) -> int:
+        """The region width a co-batch with these per-row counts runs at:
+        ``min(n_max, max n_i + 1)``.
+
+        The one padding column past the widest row keeps RegionSA's pool
+        reading the same conv cells it reads at ``n_max`` (see
+        :class:`repro.core.intra_afl.RegionSA`).  Flushes and
+        :meth:`warm` both size batches here, so a warmed plan is exactly
+        the plan a flush asks for.
+        """
+        return min(self.n_max, max(n_regions) + 1)
+
     def _check_request(self, request: EmbedRequest) -> None:
         if request.n_regions > self.n_max:
             raise AdmissionError(
@@ -444,8 +461,9 @@ class EmbeddingService:
         # wait_seconds stays truthful when tests/replays drive time.
         flushed_at = self.clock() if now is None else now
         try:
+            width = self._flush_width([t.request.n_regions for t in tickets])
             batch = make_batch([t.request.views for t in tickets],
-                               n_max=self.n_max, view_dims=self.view_dims)
+                               n_max=width, view_dims=self.view_dims)
             start = time.perf_counter()
             embeddings, event = self._run_batch(batch, None)
             seconds = time.perf_counter() - start
@@ -457,7 +475,7 @@ class EmbeddingService:
 
         b = len(tickets)
         real = sum(batch.n_regions)
-        slots = b * self.n_max
+        slots = b * width
         waste = 1.0 - real / slots
         self._flush_seq += 1
         self.flush_log.append({"seq": self._flush_seq,
@@ -499,12 +517,13 @@ class EmbeddingService:
         """Pre-record (or relower) the plan for one serving shape.
 
         ``n_regions`` is either one region count shared by all
-        ``batch_size`` rows or a per-row sequence; the mask this builds
-        is exactly the mask a scheduler flush of such requests produces,
-        so the cached spec serves real traffic byte-for-byte.  Input
-        *values* are irrelevant to a plan spec (only shapes, dtype and
-        the mask constants are baked in), so zeros suffice.  Returns the
-        served bucket id.
+        ``batch_size`` rows or a per-row sequence; the width
+        (``min(n_max, max n_i + 1)``) and mask this builds are exactly
+        those a scheduler flush of such requests produces, so the cached
+        spec serves real traffic byte-for-byte.  Input *values* are
+        irrelevant to a plan spec (only shapes, dtype and the mask
+        constants are baked in), so zeros suffice.  Returns the served
+        bucket id.
         """
         if self.n_max is None:
             raise ValueError("service capacity unknown; pass n_max=")
@@ -516,12 +535,12 @@ class EmbeddingService:
                              f"{batch_size}")
         if any(not 1 <= n <= self.n_max for n in rows):
             raise ValueError(f"region counts {rows} outside [1, {self.n_max}]")
-        matrices = [np.zeros((batch_size, self.n_max, d))
-                    for d in self.view_dims]
+        width = self._flush_width(rows)
+        matrices = [np.zeros((batch_size, width, d)) for d in self.view_dims]
         if all(n == self.n_max for n in rows):
             mask = None
         else:
-            mask = np.zeros((batch_size, self.n_max))
+            mask = np.zeros((batch_size, width))
             for i, n in enumerate(rows):
                 mask[i, :n] = 1.0
         self._plan(matrices, mask, "batched_embed")

@@ -32,17 +32,19 @@ from .service import EmbeddingService
 __all__ = ["WarmupPack", "default_shape_grid"]
 
 _MANIFEST = "warmup_pack.json"
-#: Bump when the manifest layout changes.
-_PACK_VERSION = 1
+#: Bump when the manifest layout changes, or when the plans a service
+#: asks for change shape: version 2 packs hold each co-batch at its
+#: flush width ``min(n_max, max n_i + 1)`` instead of at ``n_max``.
+_PACK_VERSION = 2
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` durably: temp file + fsync + ``os.replace``.
 
-    The manifest is the pack's validity marker (:meth:`WarmupPack.exists`
+    The manifest is the pack's validity marker (:meth:`WarmupPack.load`
     trusts its presence), so it must appear atomically — a crash
     mid-build must leave either no manifest or a complete one, never a
-    partial file a later ``exists()`` check would treat as a valid pack.
+    partial file a later ``load()`` would treat as a valid pack.
     """
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     with open(tmp, "w", encoding="utf-8") as f:
@@ -144,34 +146,36 @@ class WarmupPack:
         directory.mkdir(parents=True, exist_ok=True)
         # Specs were persisted by service.warm() above; the manifest
         # lands last and atomically, so its presence implies a complete
-        # pack (exists() gates worker spawns on exactly this file).
+        # pack (load() gates worker spawns on exactly this file).
         _atomic_write_text(directory / _MANIFEST,
                            json.dumps(manifest, indent=2))
         return cls(directory=directory, manifest=manifest)
 
     @classmethod
-    def exists(cls, directory: "str | os.PathLike") -> bool:
-        """Whether ``directory`` holds a loadable pack manifest.
-
-        The cheap pre-flight the fleet runs before spawning workers (and
-        the supervisor relies on when respawning them): a missing pack
-        should fail once, in the parent, with a clear message — not as
-        ``n_workers`` independent worker-start tracebacks, and never
-        first at respawn time when the original pack directory has been
-        deleted out from under a running fleet.
-        """
-        return (Path(directory) / _MANIFEST).exists()
-
-    @classmethod
     def load(cls, directory: "str | os.PathLike") -> "WarmupPack":
+        """Read a pack's manifest; raises ``FileNotFoundError`` when
+        there is none and ``ValueError`` when it is from another pack
+        version.
+
+        This is also the pre-flight the fleet runs before spawning
+        workers (and the supervisor relies on when respawning them): a
+        missing or stale pack should fail once, in the parent, with a
+        clear message — not as ``n_workers`` independent worker-start
+        tracebacks, and not as silent record epochs under live traffic
+        when an old pack holds plans the service no longer asks for.
+        """
         directory = Path(directory)
         path = directory / _MANIFEST
         if not path.exists():
-            raise FileNotFoundError(f"no warm-up pack manifest at {path}")
+            raise FileNotFoundError(
+                f"no warm-up pack manifest at {path}; build one with "
+                f"WarmupPack.build")
         manifest = json.loads(path.read_text())
         if manifest.get("version") != _PACK_VERSION:
-            raise ValueError(f"warm-up pack version "
-                             f"{manifest.get('version')} != {_PACK_VERSION}")
+            raise ValueError(
+                f"warm-up pack version {manifest.get('version')} != "
+                f"{_PACK_VERSION} at {path}; rebuild it with "
+                f"WarmupPack.build")
         return cls(directory=directory, manifest=manifest)
 
     # ------------------------------------------------------------------

@@ -31,8 +31,45 @@ class TestRegionSA:
 
     def test_wrong_region_count_rejected(self, rng):
         sa = RegionSA(d_model=8, n_regions=10, num_heads=2, conv_channels=4, rng=rng)
-        with pytest.raises(ValueError):
-            sa(Tensor(rng.standard_normal((9, 8))))
+        with pytest.raises(ValueError, match="last region is padding"):
+            sa(Tensor(rng.standard_normal((9, 8))))   # narrower, no mask
+
+    def test_wider_input_rejected(self, rng):
+        sa = RegionSA(d_model=8, n_regions=10, num_heads=2, conv_channels=4, rng=rng)
+        x = Tensor(rng.standard_normal((2, 11, 8)))
+        with pytest.raises(ValueError, match="built for n=10"):
+            sa(x)
+        mask = np.ones((2, 11))
+        mask[:, -1] = 0.0
+        with pytest.raises(ValueError, match="built for n=10"):
+            sa(x, mask=mask)
+
+    def test_narrow_input_needs_trailing_padding(self, rng):
+        sa = RegionSA(d_model=8, n_regions=10, num_heads=2, conv_channels=4, rng=rng)
+        x = Tensor(rng.standard_normal((2, 7, 8)))
+        # Row 1 is real up to its last position: no padding cell past it.
+        mask = np.zeros((2, 7))
+        mask[0, :5] = 1.0
+        mask[1, :] = 1.0
+        with pytest.raises(ValueError, match="last region is padding"):
+            sa(x, mask=mask)
+
+    def test_narrow_masked_input_matches_full_width(self, rng):
+        """A batch whose last column is padding runs at its own width
+        and gives every real region its full-width answer."""
+        sa = RegionSA(d_model=8, n_regions=10, num_heads=2, conv_channels=4, rng=rng)
+        sa.conv.bias.data[:] = rng.standard_normal(4)   # a bias the pool can see
+        counts = (6, 4)
+        data = np.zeros((2, 10, 8))
+        mask = np.zeros((2, 10))
+        for i, n in enumerate(counts):
+            data[i, :n] = rng.standard_normal((n, 8))
+            mask[i, :n] = 1.0
+        full = sa(Tensor(data), mask=mask).data
+        narrow = sa(Tensor(data[:, :7]), mask=mask[:, :7]).data
+        assert narrow.shape == (2, 7, 8)
+        for i, n in enumerate(counts):
+            assert np.abs(narrow[i, :n] - full[i, :n]).max() <= 1e-12
 
     def test_indivisible_heads_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -261,6 +261,21 @@ class TestSupervisor:
             fleet.start()
         assert not fleet.started
 
+    def test_stale_pack_fails_preflight(self, pack, tmp_path):
+        """A version-1 pack holds every co-batch at ``n_max``, a width
+        flushes no longer ask for: a worker attached to it would record
+        under live traffic.  The parent refuses it once, before any
+        worker is spawned."""
+        stale = json.loads((pack["dir"] / "warmup_pack.json").read_text())
+        stale["version"] = 1
+        (tmp_path / "warmup_pack.json").write_text(json.dumps(stale))
+        fleet = ServingFleet(build_tiny_service, n_workers=2,
+                             pack_dir=tmp_path)
+        with pytest.raises(ValueError, match="warm-up pack version 1"):
+            fleet.start()
+        assert not fleet.started
+        assert fleet.pids() == []
+
 
 def _staggered_builder(flag_dir: str):
     """Worker builder whose i-th caller takes ~0.7·i seconds: the

@@ -127,10 +127,10 @@ class TestServiceScheduling:
         assert response.embeddings.shape == (5, 16)
         assert response.batch_size == 1
         assert response.padded
-        # 5 real regions in a (1, 16) padded batch.
-        assert response.padding_waste == pytest.approx(1 - 5 / 16)
-        # Parity against the direct (shim) path on the same model and
-        # padded layout.
+        # 5 real regions served at width min(n_max, 5 + 1) = 6.
+        assert response.padding_waste == pytest.approx(1 - 5 / 6)
+        # Parity against the direct (shim) path on the same model padded
+        # to the full n_max.
         from repro.core import batched_embed, make_batch
         batch = make_batch([views], n_max=service.n_max,
                            view_dims=service.view_dims)

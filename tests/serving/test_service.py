@@ -139,7 +139,7 @@ class TestWarmupPack:
     def test_manifest_write_is_atomic(self, ragged_cities, tmp_path,
                                       monkeypatch):
         """PR 9 satellite: a crash between the manifest's temp write and
-        its atomic rename must leave *no* manifest — ``exists()`` (the
+        its atomic rename must leave *no* manifest — ``load()`` (the
         fleet's pre-flight) must never see a partial pack as valid."""
         import os
         service = EmbeddingService.build(
@@ -155,7 +155,6 @@ class TestWarmupPack:
         monkeypatch.setattr(os, "replace", crashing_replace)
         with pytest.raises(OSError, match="injected"):
             WarmupPack.build(service, shape_grid=[(1, 10)])
-        assert not WarmupPack.exists(tmp_path)
         with pytest.raises(FileNotFoundError):
             WarmupPack.load(tmp_path)
 
@@ -178,7 +177,6 @@ class TestWarmupPack:
         with pytest.raises(OSError, match="injected"):
             WarmupPack.build(service, shape_grid=[(1, 10), (1, 7)])
         # The previous manifest survives the crashed rebuild intact.
-        assert WarmupPack.exists(tmp_path)
         assert WarmupPack.load(tmp_path).manifest == original.manifest
 
     def test_pack_requires_a_directory(self, ragged_cities):

@@ -97,10 +97,16 @@ class TestEgressCopies:
     never a view into the resident plan's output buffer."""
 
     def _plan_output(self, service, views):
+        """Output buffer of the plan a one-request flush of ``views``
+        ran: padded to the flush width, not to ``n_max``."""
         from repro.core.engine import make_batch
-        batch = make_batch([views], n_max=service.n_max,
+        batch = make_batch([views],
+                           n_max=service._flush_width([views.n_regions]),
                            view_dims=service.view_dims)
-        return service.plan_for(batch)._output
+        before = service.plan_cache.stats()["misses"]
+        output = service.plan_for(batch)._output
+        assert service.plan_cache.stats()["misses"] == before
+        return output
 
     def test_replay_does_not_corrupt_prior_response(self, service):
         """The ISSUE-6 scenario: serve, checksum, serve different data
