@@ -24,6 +24,12 @@ Two kinds of series are compared:
   frontend's per-request percentiles) — flagged when the current value
   *exceeds* the baseline by more than the threshold.
 
+Benchmarks, and gauge paths of a shared benchmark, that appear in only
+one of the two runs are listed under their own heading rather than
+silently dropped.  pytest-benchmark leaves out a benchmark whose timed
+call raised, so one missing from the current run may have crashed.
+These are not counted as regressions.
+
 The default exit code is 0 even with regressions (the nightly job
 *surfaces* them; shared-runner noise should not fail the build) —
 ``--fail-on-regression`` flips that for stricter environments.
@@ -145,6 +151,49 @@ def compare(baseline: dict[str, dict], current: dict[str, dict],
     return rows, regressions
 
 
+def _gauge_paths(bench: dict) -> set[str]:
+    extra = bench.get("extra_info", {})
+    return ({path for path, _ in iter_gauges(extra)}
+            | {path for path, _ in iter_gauges(
+                extra, suffixes=LOWER_GAUGE_SUFFIXES)})
+
+
+def unmatched(baseline: dict[str, dict],
+              current: dict[str, dict]) -> list[str]:
+    """Table rows for the benchmarks, and the gauge paths of shared
+    benchmarks, that only one of the two runs has."""
+    rows = []
+    for name in sorted(set(baseline) | set(current)):
+        if name not in current:
+            rows.append(f"| `{name}` | benchmark | missing from current run |")
+        elif name not in baseline:
+            rows.append(f"| `{name}` | benchmark | new in current run |")
+        else:
+            old = _gauge_paths(baseline[name])
+            new = _gauge_paths(current[name])
+            rows.extend(f"| `{name}` | {path} | missing from current run |"
+                        for path in sorted(old - new))
+            rows.extend(f"| `{name}` | {path} | new in current run |"
+                        for path in sorted(new - old))
+    return rows
+
+
+def print_unmatched(rows: list[str]) -> None:
+    if not rows:
+        return
+    print()
+    print("### In only one run")
+    print()
+    print("Not compared and not counted as regressions. pytest-benchmark "
+          "omits a benchmark whose timed call raised, so one missing from "
+          "the current run may have crashed.")
+    print()
+    print("| benchmark | metric | status |")
+    print("| --- | --- | --- |")
+    for row in rows:
+        print(row)
+
+
 def iter_top_kernels(extra_info: dict, prefix: str = ""):
     """Yield (dotted_path, top_kernels_list) for every ``top_kernels``
     entry nested inside ``extra_info`` (recorded by ``Plan.profile()``)."""
@@ -225,6 +274,7 @@ def main(argv: list[str] | None = None) -> int:
 
     baseline = load_benchmarks(baseline_path)
     rows, regressions = compare(baseline, current, args.threshold)
+    one_sided = unmatched(baseline, current)
 
     print("## Nightly benchmark comparison")
     print()
@@ -236,6 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         print()
     if not rows:
         print("No overlapping benchmarks between baseline and current run.")
+        print_unmatched(one_sided)
         print_top_kernels(current)
         return 0
     if regressions:
@@ -251,6 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     print("| --- | --- | --- | --- | --- |")
     for row in rows:
         print(row)
+    print_unmatched(one_sided)
     print_top_kernels(current)
     if regressions and args.fail_on_regression:
         return 1

@@ -22,7 +22,6 @@ from .engine import (
     BatchedEmbedResult,
     BatchedTrainer,
     CityBatch,
-    backend_speedup_report,
     batched_embed,
     build_batched_model,
     compiled_speedup_report,
@@ -90,6 +89,5 @@ __all__ = [
     "sequential_embed",
     "engine_speedup_report",
     "compiled_speedup_report",
-    "backend_speedup_report",
     "serving_speedup_report",
 ]

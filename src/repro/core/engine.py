@@ -80,7 +80,6 @@ __all__ = [
     "BatchedTrainer",
     "engine_speedup_report",
     "compiled_speedup_report",
-    "backend_speedup_report",
     "serving_speedup_report",
 ]
 
@@ -518,7 +517,11 @@ def compiled_speedup_report(city: CityLike,
     speedup compares an eager step against a plan *replay*), together
     with the per-epoch loss differences and the final-embedding max
     absolute difference.  This is the JSON payload the substrate
-    benchmark records and gates (≥2x, ≤1e-8 in float64).
+    benchmark records and gates (≥2x, ≤1e-8 in float64).  The plan
+    replays on ``REPRO_PLAN_BACKEND``, so the nightly backend matrix
+    steers this report; ``backend`` and ``threaded_ops`` say what ran,
+    and ``top_kernels`` are the five hottest kernels of a
+    :meth:`~repro.nn.compile.Plan.profile` taken after all timing.
     """
     if epochs < 2:
         raise ValueError(f"epochs must be >= 2 (the first compiled epoch "
@@ -567,6 +570,9 @@ def compiled_speedup_report(city: CityLike,
     compiled_seconds = min(replay_times)
     plan = step.plan
     buffers = plan.buffer_report()
+    # Last: the profile replays update the gradient buffers, which is
+    # fine only because every comparison has already been taken.
+    prof = plan.profile(replays=3)
     return {
         "grad_buffer_bytes": buffers["grad_buffer_bytes"],
         "grad_buffer_bytes_unpooled": buffers["grad_buffer_bytes_unpooled"],
@@ -576,103 +582,14 @@ def compiled_speedup_report(city: CityLike,
         "epochs": epochs,
         "plan_forward_ops": plan.num_forward_ops,
         "plan_backward_ops": plan.num_backward_ops,
+        "backend": plan.backend,
+        "threaded_ops": plan.num_threaded_ops,
         "record_seconds": record_seconds,
         "eager_seconds_per_epoch": eager_seconds,
         "compiled_seconds_per_epoch": compiled_seconds,
         "speedup": eager_seconds / compiled_seconds,
         "max_loss_diff": max_loss_diff,
         "final_embedding_max_abs_diff": embedding_diff,
-    }
-
-
-def backend_speedup_report(city: CityLike,
-                           config: HAFusionConfig | None = None,
-                           seed: int = 7, epochs: int = 4,
-                           backend: str | None = None,
-                           num_workers: int | None = None) -> dict:
-    """Time the PR 7 training path against the previous compiled path.
-
-    Baseline: the PR 2/4 executor preserved verbatim — ``"v1"`` kernels,
-    serial replay, clip + Adam update looping eagerly in Python after
-    each replay.  Candidate: the fused ``"v2"`` lowering with the
-    optimizer folded into the plan's kernel list, replayed on
-    ``backend`` (default: the ``REPRO_PLAN_BACKEND`` environment, so the
-    CI backend matrix steers this report without code changes).  Twin
-    models from one seed; per-epoch wall-clock is best-of-replays for
-    both sides, and per-epoch losses plus final embeddings are compared
-    — the candidate must stay within the compiled-parity budget (≤1e-8
-    embeddings in float64).  Single-core machines should expect the
-    dispatch-level gains only (~1.05–1.1x); the threaded backend's
-    batch-partitioned kernels need real cores to pay off, which is why
-    the benchmark gate reads ``REPRO_LOWERING_SPEEDUP_GATE``.
-    """
-    if epochs < 2:
-        raise ValueError(f"epochs must be >= 2 (the first compiled epoch "
-                         f"records; at least one replay is timed), got {epochs}")
-    views = _as_viewset(city)
-    config = config if config is not None else HAFusionConfig()
-    mobility_view = (views.names.index("mobility")
-                     if "mobility" in views.names else None)
-
-    def build() -> HAFusion:
-        return HAFusion(views.dims(), views.n_regions, config,
-                        mobility_view=mobility_view,
-                        rng=np.random.default_rng(seed))
-
-    def run(model, step_fn):
-        losses, times = [], []
-        start = time.perf_counter()
-        losses.append(step_fn())          # record epoch (not timed)
-        record_seconds = time.perf_counter() - start
-        for _ in range(epochs - 1):
-            start = time.perf_counter()
-            losses.append(step_fn())
-            times.append(time.perf_counter() - start)
-        return losses, min(times), record_seconds
-
-    base_model = build()
-    parameters = base_model.parameters()
-    optimizer = Adam(parameters, lr=config.lr)
-    base_step = CompiledStep(lambda: base_model.loss(views),
-                             lowering="v1", backend="serial")
-    base_losses, base_seconds, _ = run(
-        base_model, lambda: compiled_optimizer_step(
-            optimizer, base_step, parameters, config.grad_clip))
-
-    cand_model = build()
-    cand_optimizer = Adam(cand_model.parameters(), lr=config.lr)
-    cand_step = CompiledStep(lambda: cand_model.loss(views),
-                             optimizer=cand_optimizer,
-                             grad_clip=config.grad_clip,
-                             lowering="v2", backend=backend,
-                             num_workers=num_workers)
-    cand_losses, cand_seconds, record_seconds = run(cand_model, cand_step.run)
-
-    plan = cand_step.plan
-    max_loss_diff = max(abs(b - c)
-                        for b, c in zip(base_losses, cand_losses))
-    embedding_diff = float(
-        np.abs(base_model.embed(views) - cand_model.embed(views)).max())
-    # Last: profiling with include_update applies real parameter updates,
-    # which is fine only because both twins are throwaway models and every
-    # comparison has already been taken.
-    prof = plan.profile(replays=3, include_update=True)
-    return {
-        "city": getattr(city, "name", "viewset"),
-        "n_regions": views.n_regions,
-        "epochs": epochs,
-        "backend": plan.backend,
-        "lowering": plan.lowering,
-        "num_workers": plan.num_workers,
-        "threaded_ops": plan.num_threaded_ops,
-        "update_ops": plan.num_update_ops,
-        "record_seconds": record_seconds,
-        "baseline_seconds_per_epoch": base_seconds,
-        "candidate_seconds_per_epoch": cand_seconds,
-        "speedup": base_seconds / cand_seconds,
-        "max_loss_diff": max_loss_diff,
-        "final_embedding_max_abs_diff": embedding_diff,
-        "profile_seconds_per_replay": prof["seconds_per_replay"],
         "top_kernels": prof["top_kernels"],
     }
 

@@ -26,8 +26,8 @@ allocations per epoch.  This module removes that cost:
 Replay arithmetic is operation-for-operation equivalent to the eager
 tape's (locked down by ``tests/core/test_compiled_parity.py`` and the
 compiled golden-trajectory test); the admissible differences are the
-*order* in which fan-out gradients are accumulated and the separable
-re-association inside the fused RegionSA gate kernels — pure
+*order* in which fan-out gradients are accumulated and the pooled-tap
+re-association inside the fused RegionSA chain kernels — pure
 float-rounding effects, which is why parity is ≤1e-8 in float64 rather
 than bit-exact.
 
@@ -97,19 +97,14 @@ RECORD_STATS = RecordStats()
 
 
 # ----------------------------------------------------------------------
-# Lowering levels and replay backends
+# Lowering and replay backends
 # ----------------------------------------------------------------------
 #
-# ``lowering`` selects how aggressively the kernel builders rewrite the
-# recorded graph:
-#
-# - ``"v1"`` — the PR 2/4 kernels, preserved verbatim.  This is the
-#   honest baseline the lowering benchmark compares against.
-# - ``"v2"`` (default) — the fused/flattened kernels: batched GEMMs
-#   flattened to single BLAS calls, the whole RegionSA correlation chain
-#   as one pooled-tap kernel pair, the fused LayerNorm chain,
-#   preallocated sink temporaries, and kernel scratch leased from a
-#   per-plan pool instead of private per-kernel arrays.
+# Every plan lowers one way: batched GEMMs flattened to single BLAS
+# calls, the whole RegionSA correlation chain as one pooled-tap kernel
+# pair, the fused LayerNorm chain, preallocated sink temporaries, and
+# kernel scratch leased from a per-plan pool instead of private
+# per-kernel arrays.
 #
 # ``backend`` selects how the flat kernel list is replayed:
 #
@@ -122,20 +117,21 @@ RECORD_STATS = RecordStats()
 #   compute the *same* elements with the same reduction orders, so the
 #   result is bit-identical to the serial backend.
 #
-# Both knobs resolve from the environment when not passed explicitly:
-# ``REPRO_PLAN_LOWERING``, ``REPRO_PLAN_BACKEND``, ``REPRO_PLAN_WORKERS``.
+# The backend and its worker count resolve from the environment when not
+# passed explicitly: ``REPRO_PLAN_BACKEND``, ``REPRO_PLAN_WORKERS``.
 
 DEFAULT_LOWERING = "v2"
-LOWERINGS = ("v1", "v2")
 DEFAULT_BACKEND = "serial"
 BACKENDS = ("serial", "threaded")
 
 
 def resolve_lowering(lowering: str | None = None) -> str:
-    value = lowering or os.environ.get("REPRO_PLAN_LOWERING") or DEFAULT_LOWERING
-    if value not in LOWERINGS:
+    """The name of the one lowering (the benchmark's machine record
+    reports it); any other explicit value is an error."""
+    value = lowering or DEFAULT_LOWERING
+    if value != DEFAULT_LOWERING:
         raise ValueError(f"unknown plan lowering {value!r}; "
-                         f"expected one of {LOWERINGS}")
+                         f"the only lowering is {DEFAULT_LOWERING!r}")
     return value
 
 
@@ -235,26 +231,19 @@ def _slice_bounds(n: int, parts: int) -> list[tuple[int, int]]:
 class _BuildContext:
     """Per-plan build state the kernel builders read from ``scratch``.
 
-    Carries the resolved lowering level and worker count, and owns the
-    *kernel scratch lease pool*: v2 kernels that need private temporaries
-    (the RegionSA chain's box, plane and gradient buffers, the fused
-    LayerNorm rows, accumulate-path products) lease them by (shape,
-    dtype, tag) instead of allocating per kernel.  Kernel scratch is
-    dead outside its own kernel and kernels replay one at a time, so
-    every same-shaped lease shares one buffer; threaded slices that need
-    disjoint scratch distinguish themselves with ``tag``.
+    Owns the *kernel scratch lease pool*: kernels that need private
+    temporaries (the RegionSA chain's box, plane and gradient buffers,
+    the fused LayerNorm rows, accumulate-path products) lease them by
+    (shape, dtype, tag) instead of allocating per kernel.  Kernel
+    scratch is dead outside its own kernel and kernels replay one at a
+    time, so every same-shaped lease shares one buffer; threaded slices
+    that need disjoint scratch distinguish themselves with ``tag``.
     """
 
     KEY = "__build__"   # scratch-dict key (node keys are ints, no clash)
 
-    def __init__(self, lowering: str, workers: int):
-        self.lowering = lowering
-        self.workers = workers
+    def __init__(self):
         self._leases: dict[tuple, np.ndarray] = {}
-
-    @property
-    def v2(self) -> bool:
-        return self.lowering != "v1"
 
     def lease(self, shape, dtype, tag: Hashable = 0) -> np.ndarray:
         key = (tuple(shape), np.dtype(dtype).str, tag)
@@ -268,22 +257,13 @@ class _BuildContext:
         return sum(buf.nbytes for buf in self._leases.values())
 
 
-def _build_ctx(scratch: dict) -> _BuildContext | None:
-    return scratch.get(_BuildContext.KEY)
-
-
 def _lease(scratch: dict, shape, dtype, tag: Hashable = 0) -> np.ndarray:
     """Kernel scratch from the plan's lease pool (private when there is
     no build context, e.g. a builder exercised standalone in tests)."""
-    ctx = _build_ctx(scratch)
+    ctx = scratch.get(_BuildContext.KEY)
     if ctx is None:
         return np.empty(shape, dtype)
     return ctx.lease(shape, dtype, tag)
-
-
-def _is_v2(scratch: dict) -> bool:
-    ctx = _build_ctx(scratch)
-    return ctx is not None and ctx.v2
 
 
 def record_forward(fn: Callable[[], Tensor]) -> tuple[Tensor, list[Tensor]]:
@@ -366,7 +346,7 @@ def _fwd_pow(node, scratch):
 def _fwd_matmul(node, scratch):
     a, b = node._prev[0].data, node._prev[1].data
     out = node.data
-    if (_is_v2(scratch) and a.ndim >= 3 and b.ndim == 2
+    if (a.ndim >= 3 and b.ndim == 2
             and a.flags.c_contiguous and out.flags.c_contiguous):
         # A batch of row blocks times one shared right matrix is a single
         # GEMM on the flattened rows: every output element is the same
@@ -543,8 +523,8 @@ def _fwd_dropout(node, scratch):
 
 
 def _fwd_conv2d(node, scratch):
-    # Both lowerings: under v2 RegionSA's conv replays inside the
-    # pooled-tap chain kernel instead, so only other convolutions get here.
+    # A whole RegionSA chain's conv replays inside the pooled-tap chain
+    # kernel instead, so only other convolutions get here.
     kernel, pad, batched, eager_cols = node._ctx
     x = node._prev[0].data
     weight = node._prev[1].data
@@ -579,9 +559,10 @@ def _fwd_conv2d(node, scratch):
     mm = out.base
     adopted = (mm is not None
                and mm.shape == (batch * height * width, out_channels))
-    # Channel-first contiguous output (the gate-fusion normalization):
-    # run the GEMM transposed — flat_w @ colsᵀ lands directly in the
-    # (O, H·W) layout, so no transposition pass is ever materialized.
+    # Channel-first contiguous output — an InferencePlan's pooled slot
+    # at batch 1, which the liveness pass rebinds to a fresh C-contiguous
+    # buffer: run the GEMM transposed — flat_w @ colsᵀ lands directly in
+    # the (O, H·W) layout, so no transposition pass is ever materialized.
     transposed = (not adopted and batch == 1 and out4.flags.c_contiguous)
     if not (adopted or transposed):
         mm = np.empty((batch * height * width, out_channels), dtype=x.dtype)
@@ -689,8 +670,7 @@ def _bwd_mul(node, grads, written, scratch):
                 runs.append(lambda pg=pg, other=other:
                             np.multiply(g, other, out=pg))
             else:
-                tmp = (_lease(scratch, g.shape, g.dtype, "mul")
-                       if _is_v2(scratch) else np.empty_like(g))
+                tmp = _lease(scratch, g.shape, g.dtype, "mul")
 
                 def accumulate(pg=pg, other=other, tmp=tmp):
                     np.multiply(g, other, out=tmp)
@@ -736,11 +716,11 @@ def _bwd_matmul(node, grads, written, scratch):
             b_T = b.swapaxes(-1, -2)
             shape = (np.broadcast_shapes(g.shape[:-2], b_T.shape[:-2])
                      + (g.shape[-2], b_T.shape[-1]))
-            flat = (_is_v2(scratch) and b.ndim == 2 and g.ndim >= 3
+            flat = (b.ndim == 2 and g.ndim >= 3
                     and tuple(shape) == pg.shape
                     and g.flags.c_contiguous and pg.flags.c_contiguous)
             if flat:
-                # Same flattened-GEMM rewrite as the v2 forward: dA rows
+                # Same flattened-GEMM rewrite as the forward: dA rows
                 # are independent dot products against b_T, so one flat
                 # GEMM is bitwise the batched loop.
                 g2 = g.reshape(-1, g.shape[-1])
@@ -757,7 +737,7 @@ def _bwd_matmul(node, grads, written, scratch):
                     runs.append(acc_a)
             elif store and tuple(shape) == pg.shape:
                 runs.append(lambda pg=pg, b_T=b_T: np.matmul(g, b_T, out=pg))
-            elif _is_v2(scratch) and tuple(shape) == pg.shape:
+            elif tuple(shape) == pg.shape:
                 # Accumulate path without the per-replay allocation: GEMM
                 # into leased scratch, then one in-place add.
                 tmp = _lease(scratch, shape, pg.dtype, "mm")
@@ -795,7 +775,7 @@ def _bwd_matmul(node, grads, written, scratch):
             a_T = a.swapaxes(-1, -2)
             shape = (np.broadcast_shapes(a_T.shape[:-2], g.shape[:-2])
                      + (a_T.shape[-2], g.shape[-1]))
-            flat = (_is_v2(scratch) and b.ndim == 2 and a.ndim >= 3
+            flat = (b.ndim == 2 and a.ndim >= 3
                     and a.shape[:-2] == g.shape[:-2]
                     and a.flags.c_contiguous and g.flags.c_contiguous)
             if flat:
@@ -819,7 +799,7 @@ def _bwd_matmul(node, grads, written, scratch):
                     runs.append(acc_b)
             elif store and tuple(shape) == pg.shape:
                 runs.append(lambda pg=pg, a_T=a_T: np.matmul(a_T, g, out=pg))
-            elif _is_v2(scratch) and tuple(shape) == pg.shape:
+            elif tuple(shape) == pg.shape:
                 tmp = _lease(scratch, shape, pg.dtype, "mm")
 
                 def acc_b2(pg=pg, a_T=a_T, tmp=tmp):
@@ -905,10 +885,8 @@ def _bwd_softmax(node, grads, written, scratch):
     # grad itself when storing, a preallocated scratch when accumulating.
     if store and pg.shape == g.shape:
         tmp = pg
-    elif _is_v2(scratch):
-        tmp = _lease(scratch, g.shape, g.dtype, "softmax")
     else:
-        tmp = np.empty_like(g)
+        tmp = _lease(scratch, g.shape, g.dtype, "softmax")
 
     def run():
         np.multiply(g, out, out=tmp)
@@ -1095,9 +1073,9 @@ def _bwd_conv2d(node, grads, written, scratch):
     out_channels = weight.shape[0]
     flat_w = weight.reshape(out_channels, -1)
     g4 = g if batched else g[None]
-    # With a contiguous channel-first gradient (the gate-fusion layout)
-    # the whole backward runs off the transposed (O, H·W) view — the
-    # same dot products, no transposition pass.
+    # Gradient buffers are C-contiguous, so at batch 1 the whole backward
+    # runs off the transposed (O, H·W) view of the channel-first
+    # gradient — the same dot products, no transposition pass.
     transposed = batch == 1 and g4.flags.c_contiguous
     if transposed:
         g_om = g4.reshape(out_channels, -1)
@@ -1200,7 +1178,7 @@ def _bwd_avgpool2d(node, grads, written, scratch):
 
 
 # ----------------------------------------------------------------------
-# Gate-chain fusion (RegionSA Eq. 13-14)
+# RegionSA chain fusion (Eq. 13-14)
 # ----------------------------------------------------------------------
 #
 # RegionSA's correlation path — conv2d(1→c, 3x3) -> avgpool2d(3) ->
@@ -1210,8 +1188,8 @@ def _bwd_avgpool2d(node, grads, written, scratch):
 # n=180 in float32), so tiling rows buys nothing; the only lever is
 # making fewer passes.
 #
-# v2 lowers the whole chain to one kernel pair (_RegionFusion).  Conv
-# and pool are both linear, so
+# The plan lowers the whole chain to one kernel pair (_RegionFusion).
+# Conv and pool are both linear, so
 #
 #     pool(conv(A)) = ([W | b] / 9) · Q
 #
@@ -1227,26 +1205,22 @@ def _bwd_avgpool2d(node, grads, written, scratch):
 # adjoint, then forms [dW | db] = dA'·Qᵀ / 9 and dA as the tap builder's
 # adjoint of Wᵀ·dA' / 9.
 #
-# v1 keeps the original kernels (_GateFusion): conv, the channel sum and its
-# scale replay as generic kernels and only pool -> softmax -> ⊙ fuses,
-# into a channel-blocked pair whose 3x3 pool is two separable 3-tap
-# passes.  v2 falls back to that pair for a gate chain that is not a
-# whole RegionSA chain.
-#
 # Channels are independent and softmax rows reduce per row either way,
 # so the only deviations from the eager arithmetic are re-associations
 # (the order of the pooled additions, the 1/9 riding on the weights, the
 # factored softmax/⊙ adjoint): ≈1e-16 relative rounding in float64,
 # inside the ≤1e-8 parity budget but not bitwise.  Patterns are matched
 # conservatively (each intermediate consumed only inside the chain);
-# anything else falls back to the generic per-op kernels.
+# anything else — a conv without bias, a gate chain without its conv, a
+# ⊙ feeding something other than the channel mean — replays as the
+# generic per-op kernels.
 #
 # The masked variant — softmax(A' + additive_key_mask) from the padded
 # batches of the execution engine — fuses too: the additive mask is a
 # constant (..., 1, 1, n) leaf, the extra ``add`` is folded into the
 # per-channel softmax (its backward into the pool input is the
-# identity), and the gradient never touches the mask, so both backward
-# kernels are the unmasked ones verbatim.
+# identity), and the gradient never touches the mask, so the backward
+# kernel is the unmasked one verbatim.
 #
 # Every fusion exposes the same build interface: ``head`` / ``bwd_head``
 # (the nodes whose tape positions emit the fused forward / backward
@@ -1270,191 +1244,6 @@ def _const_scalar(t: Tensor) -> bool:
     """A constant 0-d leaf (a python scalar operand on the tape)."""
     return (not t._prev and not t.requires_grad
             and getattr(t.data, "ndim", None) == 0)
-
-
-class _GateFusion(NamedTuple):
-    """One fusable pool -> [+mask] -> softmax -> ⊙ chain."""
-
-    pool: Tensor
-    gate: Tensor
-    mul: Tensor
-    add: Tensor | None    # corr + mask (padded batches only); fused away
-    mask: Tensor | None   # constant additive-mask leaf, read-only
-
-    @property
-    def head(self) -> Tensor:
-        return self.pool
-
-    @property
-    def bwd_head(self) -> Tensor:
-        return self.mul
-
-    @property
-    def fused_away(self) -> tuple[Tensor, ...]:
-        return (self.gate, self.mul) if self.add is None else \
-            (self.gate, self.mul, self.add)
-
-    @property
-    def bwd_fused_away(self) -> tuple[Tensor, ...]:
-        return (self.pool, self.gate) if self.add is None else \
-            (self.pool, self.gate, self.add)
-
-    @property
-    def inference_dead(self) -> tuple[Tensor, ...]:
-        return () if self.add is None else (self.add,)
-
-    @property
-    def written_at_head(self) -> tuple[Tensor, ...]:
-        return (self.gate, self.mul)
-
-    @property
-    def traffic_nodes(self) -> tuple[Tensor, ...]:
-        """Buffers the fused kernels sweep (for the profiler's byte
-        histogram)."""
-        return (self.pool._prev[0], self.pool, self.gate, self.mul)
-
-    @property
-    def grad_targets(self) -> tuple[Tensor, ...]:
-        """Tensors whose gradients the fused backward kernel writes."""
-        parent = self.pool._prev[0]
-        return (parent,) if parent.requires_grad else ()
-
-
-def _find_gate_fusions(nodes: list[Tensor]) -> list[_GateFusion]:
-    consumers = _consumers(nodes)
-    fusions = []
-    for mul in nodes:
-        if mul._op != "mul" or len(mul._prev) != 2:
-            continue
-        pool, gate = mul._prev
-        if pool._op != "avgpool2d" or gate._op != "softmax":
-            continue
-        if pool._ctx != (3, 1):   # separable 3-tap kernels below
-            continue
-        if pool.ndim < 3:
-            continue
-        scores = gate._prev[0]
-        add = mask = None
-        if scores is not pool:
-            # Masked chain: softmax(pool + additive mask) where the mask
-            # is a constant (..., 1, 1, n) leaf broadcast over channels
-            # and query rows — the engine's additive_key_mask layout.
-            if (scores._op != "add" or len(scores._prev) != 2
-                    or scores._prev[0] is not pool):
-                continue
-            add, mask = scores, scores._prev[1]
-            if mask._prev or mask.requires_grad:
-                continue
-            if (mask.ndim != pool.ndim or mask.shape[-3:-1] != (1, 1)
-                    or mask.shape[-1] != pool.shape[-1]
-                    or mask.shape[:-3] != pool.shape[:-3]):
-                continue
-            if add.shape != pool.shape:
-                continue
-            add_cons = consumers.get(id(add), [])
-            if len(add_cons) != 1 or add_cons[0] is not gate:
-                continue
-        if gate._ctx[0] not in (-1, pool.ndim - 1):
-            continue
-        if not (pool.shape == gate.shape == mul.shape):
-            continue
-        first = add if add is not None else gate
-        pool_cons = consumers.get(id(pool), [])
-        gate_cons = consumers.get(id(gate), [])
-        if len(pool_cons) != 2 or {id(c) for c in pool_cons} != {id(first), id(mul)}:
-            continue
-        if len(gate_cons) != 1 or gate_cons[0] is not mul:
-            continue
-        fusions.append(_GateFusion(pool, gate, mul, add, mask))
-    return fusions
-
-
-def _separable_avg3(src, dst, colbuf, scale):
-    """Same-padding 3x3 uniform window sum of ``src`` into ``dst`` (times
-    ``scale``) via two 3-tap passes.  The operator equals the eager
-    9-window loop; only the order of the 9 additions differs (≈1e-16
-    relative rounding).  Symmetric, so it is also its own adjoint —
-    the backward pass reuses it on the gradient."""
-    np.copyto(colbuf, src)
-    colbuf[..., 1:, :] += src[..., :-1, :]
-    colbuf[..., :-1, :] += src[..., 1:, :]
-    np.copyto(dst, colbuf)
-    dst[..., :, 1:] += colbuf[..., :, :-1]
-    dst[..., :, :-1] += colbuf[..., :, 1:]
-    np.multiply(dst, scale, out=dst)
-
-
-def _fused_gate_forward(fusion: _GateFusion, scratch,
-                        channel_range=None):
-    pool, gate_n, mul_n = fusion.pool, fusion.gate, fusion.mul
-    x = pool._prev[0].data
-    corr, gate, gated = pool.data, gate_n.data, mul_n.data
-    # Channel slice of the (..., 1, 1, n) additive mask: (..., 1, n),
-    # broadcasting over the query rows exactly as the eager add did.
-    madd = fusion.mask.data[..., 0, :, :] if fusion.mask is not None else None
-    height, width = x.shape[-2:]
-    channels = channel_range or range(x.shape[-3])
-    lead = x.shape[:-3]
-    colbuf = np.empty(lead + (height, width), dtype=x.dtype)
-
-    def run():
-        for c in channels:
-            cc = corr[..., c, :, :]
-            gc = gate[..., c, :, :]
-            _separable_avg3(x[..., c, :, :], cc, colbuf, 1.0 / 9.0)
-            if madd is None:
-                np.subtract(cc, cc.max(axis=-1, keepdims=True), out=gc)
-            else:
-                np.add(cc, madd, out=gc)
-                np.subtract(gc, gc.max(axis=-1, keepdims=True), out=gc)
-            np.exp(gc, out=gc)
-            np.divide(gc, gc.sum(axis=-1, keepdims=True), out=gc)
-            np.multiply(cc, gc, out=gated[..., c, :, :])
-    return run
-
-
-def _fused_gate_backward(fusion: _GateFusion, grads, written, scratch,
-                         channel_range=None, store=None):
-    pool, gate_n, mul_n = fusion.pool, fusion.gate, fusion.mul
-    g_gated = grads[id(mul_n)]
-    corr, gate = pool.data, gate_n.data
-    parent = pool._prev[0]
-    pg = grads[id(parent)]
-    if store is None:
-        store = _mark(written, id(parent))
-    height, width = corr.shape[-2:]
-    channels = channel_range or range(corr.shape[-3])
-    lead = corr.shape[:-3]
-    shape = lead + (height, width)
-    dcorr = np.empty(shape, dtype=corr.dtype)
-    dgate = np.empty_like(dcorr)
-    tmp = np.empty_like(dcorr)
-    colbuf = np.empty_like(dcorr)
-
-    def run():
-        for c in channels:
-            gg = g_gated[..., c, :, :]
-            cc = corr[..., c, :, :]
-            gc = gate[..., c, :, :]
-            # ⊙ backward, in parent order (corr, gate), then the fused
-            # softmax backward accumulated into dcorr — the same edge
-            # order the generic kernels execute.
-            np.multiply(gg, gc, out=dcorr)
-            np.multiply(gg, cc, out=dgate)
-            np.multiply(dgate, gc, out=tmp)
-            dot = tmp.sum(axis=-1, keepdims=True)
-            np.subtract(dgate, dot, out=tmp)
-            np.multiply(gc, tmp, out=tmp)
-            np.add(dcorr, tmp, out=dcorr)
-            # avgpool is self-adjoint: pooling the gradient IS the
-            # backward scatter (same separable 3-tap operator).
-            target = pg[..., c, :, :]
-            if store:
-                _separable_avg3(dcorr, target, colbuf, 1.0 / 9.0)
-            else:
-                _separable_avg3(dcorr, tmp, colbuf, 1.0 / 9.0)
-                np.add(target, tmp, out=target)
-    return run
 
 
 class _RegionFusion(NamedTuple):
@@ -1512,46 +1301,75 @@ class _RegionFusion(NamedTuple):
         return tuple(t for t in self.conv._prev if t.requires_grad)
 
 
-def _find_region_fusions(nodes: list[Tensor], gate_fusions):
-    """Grow each gate chain into the whole RegionSA chain where its pool
-    reads a conv2d(1→c, 3x3, same, with bias) and its ⊙ feeds only a
-    channel mean; returns (region fusions, the remaining gate fusions)."""
+def _find_region_fusions(nodes: list[Tensor]) -> list[_RegionFusion]:
+    """Every whole RegionSA chain of a tape: a conv2d(1→c, 3x3, same,
+    with bias) read only by a 3x3 avgpool, whose output feeds
+    [+ additive mask ->] softmax(-1) and the ⊙ with that gate, the ⊙
+    feeding only a channel sum that feeds only a constant scale."""
     consumers = _consumers(nodes)
 
     def sole(t: Tensor) -> Tensor | None:
         cons = consumers.get(id(t), [])
         return cons[0] if len(cons) == 1 else None
 
-    regions, rest = [], []
-    for f in gate_fusions:
-        conv = f.pool._prev[0]
-        total = sole(f.mul)
+    fusions = []
+    for mul in nodes:
+        if mul._op != "mul" or len(mul._prev) != 2:
+            continue
+        pool, gate = mul._prev
+        if pool._op != "avgpool2d" or gate._op != "softmax":
+            continue
+        if pool._ctx != (3, 1) or pool.ndim < 3:
+            continue
+        scores = gate._prev[0]
+        add = mask = None
+        if scores is not pool:
+            # Masked chain: softmax(pool + additive mask) where the mask
+            # is a constant (..., 1, 1, n) leaf broadcast over channels
+            # and query rows — the engine's additive_key_mask layout.
+            if (scores._op != "add" or len(scores._prev) != 2
+                    or scores._prev[0] is not pool):
+                continue
+            add, mask = scores, scores._prev[1]
+            if mask._prev or mask.requires_grad:
+                continue
+            if (mask.ndim != pool.ndim or mask.shape[-3:-1] != (1, 1)
+                    or mask.shape[-1] != pool.shape[-1]
+                    or mask.shape[:-3] != pool.shape[:-3]):
+                continue
+            if add.shape != pool.shape or sole(add) is not gate:
+                continue
+        if gate._ctx[0] not in (-1, pool.ndim - 1):
+            continue
+        if not (pool.shape == gate.shape == mul.shape):
+            continue
+        first = add if add is not None else gate
+        pool_cons = consumers.get(id(pool), [])
+        if (len(pool_cons) != 2
+                or {id(c) for c in pool_cons} != {id(first), id(mul)}
+                or sole(gate) is not mul):
+            continue
+        conv = pool._prev[0]
+        total = sole(mul)
         scale = sole(total) if total is not None else None
-        if (conv._op == "conv2d" and len(conv._prev) == 3
+        if not (conv._op == "conv2d" and len(conv._prev) == 3
                 and conv._ctx[:2] == (3, 1)
                 and conv._prev[1].shape[1:] == (1, 3, 3)
-                and sole(conv) is f.pool
+                and sole(conv) is pool
                 and total is not None and total._op == "sum"
-                and total._ctx in ((-3, False), (f.mul.ndim - 3, False))
+                and total._ctx in ((-3, False), (mul.ndim - 3, False))
                 and scale is not None and scale._op == "mul"
                 and scale._prev[0] is total
                 and _const_scalar(scale._prev[1])):
-            regions.append(_RegionFusion(conv, f.pool, f.gate, f.mul, total,
-                                         scale, f.add, f.mask))
-        else:
-            rest.append(f)
-    return regions, rest
+            continue
+        fusions.append(_RegionFusion(conv, pool, gate, mul, total, scale,
+                                     add, mask))
+    return fusions
 
 
-def _find_fusions(nodes: list[Tensor], lowering: str):
-    """(gate, region, LayerNorm) fusions of a tape.  v1 fuses gate chains
-    only; v2 grows them into whole RegionSA chains where it can and
-    fuses LayerNorm chains too."""
-    gates = _find_gate_fusions(nodes)
-    if lowering == "v1":
-        return gates, [], []
-    regions, gates = _find_region_fusions(nodes, gates)
-    return gates, regions, _find_layernorm_fusions(nodes)
+def _find_fusions(nodes: list[Tensor]):
+    """(RegionSA chain, LayerNorm) fusions of a tape."""
+    return _find_region_fusions(nodes), _find_layernorm_fusions(nodes)
 
 
 def _window_counts(height: int, width: int, dtype) -> np.ndarray:
@@ -2291,8 +2109,7 @@ def _partition_fwd(node, scratch, workers):
         # m-split of the flattened-rows GEMM (rows independent) — only
         # when the serial kernel takes the same flattened path, so the
         # two backends sum identical k-panels.
-        if (_is_v2(scratch) and a.flags.c_contiguous
-                and out.flags.c_contiguous):
+        if a.flags.c_contiguous and out.flags.c_contiguous:
             a2 = a.reshape(-1, a.shape[-1])
             o2 = out.reshape(-1, out.shape[-1])
             rb = _slice_bounds(a2.shape[0], workers)
@@ -2474,11 +2291,9 @@ def _partition_bwd(node, grads, written, scratch, workers):
             g2, pg2 = g, pg
             rb = bounds
         else:
-            # Mirror the serial v2 flattened-dA path's exact conditions;
-            # under v1 the serial kernel runs a batched GEMM, so the op
-            # stays serial there.
-            if not (_is_v2(scratch) and g.flags.c_contiguous
-                    and pg.flags.c_contiguous and pg.shape == a.shape):
+            # Mirror the serial flattened-dA path's exact conditions.
+            if not (g.flags.c_contiguous and pg.flags.c_contiguous
+                    and pg.shape == a.shape):
                 return None
             g2 = g.reshape(-1, g.shape[-1])
             pg2 = pg.reshape(-1, pg.shape[-1])
@@ -2507,10 +2322,9 @@ def _partition_bwd(node, grads, written, scratch, workers):
                     return None
                 a2_T = a.T
             else:
-                # Only when the serial v2 flattened-dB path applies (one
+                # Only when the serial flattened-dB path applies (one
                 # flat GEMM); any other association must stay serial.
-                if not (_is_v2(scratch) and a.flags.c_contiguous
-                        and g.flags.c_contiguous
+                if not (a.flags.c_contiguous and g.flags.c_contiguous
                         and a.shape[:-2] == g.shape[:-2]):
                     return None
                 a2_T = a.reshape(-1, a.shape[-1]).T
@@ -2529,62 +2343,23 @@ def _partition_bwd(node, grads, written, scratch, workers):
     return None
 
 
-def _gate_fwd_parts(fusion: "_GateFusion", scratch, workers):
-    """Channel-split thunks for the fused gate forward: each slice runs
-    the per-channel kernel on a disjoint channel range with its own
-    scratch, writing disjoint channel planes."""
-    channels = fusion.pool.data.shape[-3]
-    cb = _slice_bounds(channels, workers)
-    if len(cb) < 2:
-        return None
-    return [_fused_gate_forward(fusion, scratch, channel_range=range(lo, hi))
-            for lo, hi in cb]
-
-
-def _gate_bwd_parts(fusion: "_GateFusion", grads, written, scratch, workers):
-    """Channel-split thunks for the fused gate backward.  Must run
-    before the serial builder: the store flag peeks ``written`` and is
-    passed explicitly so the slices never re-mark it."""
-    channels = fusion.pool.data.shape[-3]
-    cb = _slice_bounds(channels, workers)
-    if len(cb) < 2:
-        return None
-    parent = fusion.pool._prev[0]
-    store = id(parent) not in written
-    return [_fused_gate_backward(fusion, grads, written, scratch,
-                                 channel_range=range(lo, hi), store=store)
-            for lo, hi in cb]
-
-
-def _fusion_forward(fusion, scratch, workers: int, inference: bool = False):
-    """(kernel, profile tag, threaded slices or None) for the forward
-    kernel at a fusion's head.  Only the gate chain partitions (by
-    channel); a whole RegionSA chain replays unpartitioned."""
+def _fusion_forward(fusion, scratch, inference: bool = False):
+    """(kernel, profile tag) for the forward kernel at a fusion's head.
+    Fused kernels replay unpartitioned on either backend."""
     if isinstance(fusion, _LNFusion):
         return (_fused_ln_forward(fusion, scratch, inference),
-                "F:fused_layernorm", None)
-    if isinstance(fusion, _RegionFusion):
-        return (_fused_region_forward(fusion, scratch, inference),
-                "F:fused_gate", None)
-    parts = _gate_fwd_parts(fusion, scratch, workers) if workers > 1 else None
-    return _fused_gate_forward(fusion, scratch), "F:fused_gate", parts
+                "F:fused_layernorm")
+    return _fused_region_forward(fusion, scratch, inference), "F:fused_gate"
 
 
-def _fusion_backward(fusion, grads, written, scratch, workers: int):
-    """(kernel, profile tag, threaded slices or None) for the backward
-    kernel at a fusion's ``bwd_head``."""
+def _fusion_backward(fusion, grads, written, scratch):
+    """(kernel, profile tag) for the backward kernel at a fusion's
+    ``bwd_head``."""
     if isinstance(fusion, _LNFusion):
         return (_fused_ln_backward(fusion, grads, written, scratch),
-                "B:fused_layernorm", None)
-    if isinstance(fusion, _RegionFusion):
-        return (_fused_region_backward(fusion, grads, written, scratch),
-                "B:fused_gate", None)
-    # Peek the store decision before the serial builder (the marking
-    # call) consumes the first write.
-    parts = (_gate_bwd_parts(fusion, grads, written, scratch, workers)
-             if workers > 1 else None)
-    return (_fused_gate_backward(fusion, grads, written, scratch),
-            "B:fused_gate", parts)
+                "B:fused_layernorm")
+    return (_fused_region_backward(fusion, grads, written, scratch),
+            "B:fused_gate")
 
 
 def _replay(ops, parts, pool) -> None:
@@ -2840,11 +2615,10 @@ class Plan:
     """
 
     def __init__(self, loss: Tensor, nodes: list[Tensor],
-                 pool_gradients: bool = True, lowering: str | None = None,
-                 backend: str | None = None, num_workers: int | None = None):
+                 pool_gradients: bool = True, backend: str | None = None,
+                 num_workers: int | None = None):
         if not loss.requires_grad or loss.size != 1:
             raise ValueError("plan requires a scalar loss with requires_grad")
-        self.lowering = resolve_lowering(lowering)
         self.backend = resolve_backend(backend)
         self.num_workers = resolve_workers(num_workers) \
             if self.backend == "threaded" else 1
@@ -2867,31 +2641,18 @@ class Plan:
             stack.extend(t._prev)
 
         self._loss_data = loss.data
-        gate_fusions, region_fusions, ln_fusions = _find_fusions(
-            nodes, self.lowering)
-        fusions = gate_fusions + region_fusions + ln_fusions
+        region_fusions, ln_fusions = _find_fusions(nodes)
+        fusions = region_fusions + ln_fusions
         fuse_fwd_head = {id(f.head): f for f in fusions}
         fuse_fwd_skip = {id(t) for f in fusions for t in f.fused_away}
         fuse_bwd_head = {id(f.bwd_head): f for f in fusions}
         fuse_bwd_skip = {id(t) for f in fusions for t in f.bwd_fused_away}
         # The per-channel chain kernels read contiguous channel-first
-        # planes (and the region kernel's GEMM writes A' through a
-        # reshape), so fix those layouts before any builder or gradient
-        # buffer captures one.  Eager pool/softmax/⊙ outputs already are
-        # contiguous; the v1 gate chain's pool input is the conv's
-        # channel-last GEMM view, whose channel-sliced reads touch one
-        # cache line per element (a 16x traffic blow-up), so it gets one
-        # contiguous materialization up front.  Views and leaves keep
-        # their buffers (a view's noop forward and a parameter's identity
-        # both depend on them).
-        for fusion in gate_fusions + region_fusions:
-            targets = [fusion.pool, fusion.gate]
-            if isinstance(fusion, _GateFusion):
-                targets.append(fusion.mul)
-                parent = fusion.pool._prev[0]
-                if parent._prev and not _is_view(parent):
-                    targets.append(parent)
-            for t in targets:
+        # planes and the chain's GEMM writes A' through a reshape, so fix
+        # those layouts before any builder captures one.  Eager pool and
+        # softmax outputs already are contiguous.
+        for fusion in region_fusions:
+            for t in (fusion.pool, fusion.gate):
                 if not t.data.flags.c_contiguous:
                     t.data = np.ascontiguousarray(t.data)
 
@@ -2905,7 +2666,7 @@ class Plan:
         grads[id(loss)][...] = 1.0   # seed; loss has no consumers
         self._grads = grads
 
-        build = _BuildContext(self.lowering, self.num_workers)
+        build = _BuildContext()
         scratch: dict = {_BuildContext.KEY: build}
         self._build = build
         threaded = self._worker_pool is not None
@@ -2919,11 +2680,10 @@ class Plan:
                 continue
             fusion = fuse_fwd_head.get(id(node))
             if fusion is not None:
-                fn, tag, parts = _fusion_forward(fusion, scratch,
-                                                 self.num_workers)
+                fn, tag = _fusion_forward(fusion, scratch)
                 self._forward_ops.append(fn)
                 self._forward_meta.append((tag, _fusion_bytes(fusion)))
-                self._forward_parts.append(parts)
+                self._forward_parts.append(None)
                 continue
             builder = _FWD.get(node._op)
             if builder is None:
@@ -2947,11 +2707,11 @@ class Plan:
             fusion = fuse_bwd_head.get(id(node))
             if fusion is not None:
                 if node.requires_grad:
-                    fn, tag, parts = _fusion_backward(
-                        fusion, grads, written, scratch, self.num_workers)
+                    fn, tag = _fusion_backward(fusion, grads, written,
+                                               scratch)
                     self._backward_ops.append(fn)
                     self._backward_meta.append((tag, _fusion_bytes(fusion)))
-                    self._backward_parts.append(parts)
+                    self._backward_parts.append(None)
                 continue
             builder = _BWD.get(node._op)
             if builder is None:
@@ -2965,7 +2725,7 @@ class Plan:
                 self._backward_ops.append(fn)
                 self._backward_meta.append((f"B:{node._op}", _node_bytes(node)))
                 self._backward_parts.append(parts)
-        self.num_fused_chains = len(gate_fusions) + len(region_fusions)
+        self.num_fused_chains = len(region_fusions)
         self.num_fused_layernorms = len(ln_fusions)
 
         #: requires-grad leaves (parameters and gradcheck inputs) in
@@ -3016,8 +2776,8 @@ class Plan:
             self._grad_peak_bytes = self._grad_bytes_unpooled
             return grads
 
-        # Backward kernel order (one kernel per node; fused chains one
-        # kernel at the mul node).
+        # Backward kernel order (one kernel per node; a fused chain one
+        # kernel at its bwd_head).
         bwd_nodes = [n for n in reversed(nodes)
                      if id(n) in reachable and id(n) not in fuse_bwd_skip]
         own_pos = {id(n): i for i, n in enumerate(bwd_nodes)}
@@ -3246,19 +3006,18 @@ class InferencePlan:
       intermediate's buffer is recycled once its last consumer kernel has
       run, so resident memory is the live working set rather than one
       buffer per slot.  View chains share their root's buffer and extend
-      its lifetime; fused gate-chain members are born at the chain head
-      (the single fused kernel writes all of them there).  Buffers are
-      released only after the consuming kernel, so no kernel ever reads
-      and writes the same array.
+      its lifetime; what a fused chain's kernel writes is born at the
+      chain head, where that kernel runs.  Buffers are released only
+      after the consuming kernel, so no kernel ever reads and writes the
+      same array.
     """
 
     def __init__(self, output: Tensor, nodes: list[Tensor],
                  inputs: Sequence[Tensor], params: Sequence[Tensor] | None = None,
-                 pool_buffers: bool = True, lowering: str | None = None,
-                 backend: str | None = None, num_workers: int | None = None):
+                 pool_buffers: bool = True, backend: str | None = None,
+                 num_workers: int | None = None):
         if not output._prev:
             raise ValueError("inference plan output must be a computed node")
-        self.lowering = resolve_lowering(lowering)
         self.backend = resolve_backend(backend)
         self.num_workers = resolve_workers(num_workers) \
             if self.backend == "threaded" else 1
@@ -3286,9 +3045,8 @@ class InferencePlan:
 
         # Fusion decisions first (they fix birth positions); consumers
         # are computed over live nodes only — dead branches never replay.
-        gate_fusions, region_fusions, ln_fusions = _find_fusions(
-            order, self.lowering)
-        fusions = gate_fusions + region_fusions + ln_fusions
+        region_fusions, ln_fusions = _find_fusions(order)
+        fusions = region_fusions + ln_fusions
         fuse_fwd_head = {id(f.head): f for f in fusions}
         fuse_fwd_skip = {id(t) for f in fusions for t in f.fused_away}
         skip_alloc = {id(t) for f in fusions for t in f.inference_dead}
@@ -3313,7 +3071,7 @@ class InferencePlan:
             self._slot_bytes = self._slot_bytes_unpooled
             self._slot_peak_bytes = self._slot_bytes_unpooled
 
-        build = _BuildContext(self.lowering, self.num_workers)
+        build = _BuildContext()
         scratch: dict = {_BuildContext.KEY: build}
         self._build = build
         threaded = self._worker_pool is not None
@@ -3325,12 +3083,10 @@ class InferencePlan:
                 continue
             fusion = fuse_fwd_head.get(id(node))
             if fusion is not None:
-                fn, tag, parts = _fusion_forward(fusion, scratch,
-                                                 self.num_workers,
-                                                 inference=True)
+                fn, tag = _fusion_forward(fusion, scratch, inference=True)
                 self._forward_ops.append(fn)
                 self._forward_meta.append((tag, _fusion_bytes(fusion)))
-                self._forward_parts.append(parts)
+                self._forward_parts.append(None)
                 continue
             builder = _FWD.get(node._op)
             if builder is None:
@@ -3344,7 +3100,7 @@ class InferencePlan:
                     _partition_fwd(node, scratch, self.num_workers)
                     if threaded else None)
 
-        self.num_fused_chains = len(gate_fusions) + len(region_fusions)
+        self.num_fused_chains = len(region_fusions)
         self.num_fused_layernorms = len(ln_fusions)
         self.op_counts: dict[str, int] = {}
         for node in order:
@@ -3532,13 +3288,11 @@ class CompiledStep:
     def __init__(self, loss_fn: Callable[[], Tensor],
                  signature_fn: Callable[[], Hashable] | None = None,
                  optimizer=None, grad_clip: float = 0.0,
-                 lowering: str | None = None, backend: str | None = None,
-                 num_workers: int | None = None):
+                 backend: str | None = None, num_workers: int | None = None):
         self._loss_fn = loss_fn
         self._signature_fn = signature_fn
         self._optimizer = optimizer
         self._grad_clip = grad_clip
-        self._lowering = lowering
         self._backend = backend
         self._num_workers = num_workers
         self._plan: Plan | None = None
@@ -3570,8 +3324,7 @@ class CompiledStep:
         with record_tape() as nodes:
             loss = self._loss_fn()
         RECORD_STATS.training_records += 1
-        self._plan = Plan(loss, nodes, lowering=self._lowering,
-                          backend=self._backend,
+        self._plan = Plan(loss, nodes, backend=self._backend,
                           num_workers=self._num_workers)
         if self._optimizer is not None:
             self._plan.fuse_optimizer(self._optimizer, self._grad_clip)
@@ -3588,9 +3341,8 @@ class CompiledStep:
 def compile_step(loss_fn: Callable[[], Tensor],
                  signature_fn: Callable[[], Hashable] | None = None,
                  optimizer=None, grad_clip: float = 0.0,
-                 lowering: str | None = None, backend: str | None = None,
+                 backend: str | None = None,
                  num_workers: int | None = None) -> CompiledStep:
     """Convenience constructor mirroring ``torch.compile``'s shape."""
     return CompiledStep(loss_fn, signature_fn, optimizer, grad_clip,
-                        lowering=lowering, backend=backend,
-                        num_workers=num_workers)
+                        backend=backend, num_workers=num_workers)

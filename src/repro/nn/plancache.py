@@ -23,11 +23,11 @@ Three reuse tiers, all keyed on
    (when a cache directory is configured) on disk, so later *processes*
    start at tier 2.
 
-Specs are **backend-neutral**: the lowering level and replay backend
-(serial vs. threaded) are properties of the *built* plan, not of the
-stored program, so requesting a different backend for a cached shape
-costs a tier-2 relower — zero record epochs — and each variant stays
-resident independently.
+Specs are **backend-neutral**: the replay backend (serial vs.
+threaded) is a property of the *built* plan, not of the stored program,
+so requesting a different backend for a cached shape costs a tier-2
+relower — zero record epochs — and each variant stays resident
+independently.
 
 Robustness: a corrupted, truncated, version-skewed or key-mismatched
 on-disk entry — and a stored spec whose parameter shapes no longer match
@@ -49,8 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compile import (InferencePlan, resolve_backend, resolve_lowering,
-                      resolve_workers)
+from .compile import InferencePlan, resolve_backend, resolve_workers
 from .tensor import Tensor
 
 __all__ = [
@@ -229,7 +228,6 @@ def _stub(data: np.ndarray, prev: tuple = (), op: str = "",
 
 
 def build_inference_plan(spec: PlanSpec, params: Sequence[Tensor],
-                         lowering: str | None = None,
                          backend: str | None = None,
                          num_workers: int | None = None) -> InferencePlan:
     """Relower a :class:`PlanSpec` to a live plan — no eager pass, no
@@ -238,11 +236,11 @@ def build_inference_plan(spec: PlanSpec, params: Sequence[Tensor],
     pins the architecture; shape/dtype mismatches raise
     :class:`PlanCacheError`).
 
-    ``lowering``/``backend``/``num_workers`` select the kernel lowering
-    level and replay backend of the *built* plan (defaults: the
-    ``REPRO_PLAN_LOWERING`` / ``REPRO_PLAN_BACKEND`` environment).  A
-    spec is backend-neutral — the same on-disk spec relowers to a serial
-    or a threaded plan with no record epoch either way."""
+    ``backend``/``num_workers`` select the replay backend of the *built*
+    plan (defaults: the ``REPRO_PLAN_BACKEND`` / ``REPRO_PLAN_WORKERS``
+    environment).  A spec is backend-neutral — the same on-disk spec
+    relowers to a serial or a threaded plan with no record epoch either
+    way."""
     if spec.version != SPEC_VERSION:
         raise PlanCacheError(f"spec version {spec.version} != {SPEC_VERSION}")
     params = list(params)
@@ -273,8 +271,8 @@ def build_inference_plan(spec: PlanSpec, params: Sequence[Tensor],
             ctx = spec.ctxs[i]
             if spec.ops[i] == "conv2d":
                 kernel, pad, batched = ctx
-                # The plan builder allocates its own patch buffer (layout
-                # depends on the lowering level), so no cols are shipped.
+                # The plan builder allocates its own patch buffer, so no
+                # cols are shipped.
                 ctx = (kernel, pad, batched, None)
             # Placeholder buffer: the plan's liveness pass replaces it
             # (np.empty reserves without touching pages).
@@ -284,8 +282,7 @@ def build_inference_plan(spec: PlanSpec, params: Sequence[Tensor],
     if any(t is None for t in inputs):
         raise PlanCacheError("spec input slots are not contiguous")
     return InferencePlan(tensors[spec.output], order, inputs, params=params,
-                         lowering=lowering, backend=backend,
-                         num_workers=num_workers)
+                         backend=backend, num_workers=num_workers)
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +311,7 @@ class PlanCache:
         self.capacity = capacity
         self.directory = Path(directory) if directory is not None else None
         self._specs: OrderedDict[tuple, PlanSpec] = OrderedDict()
-        # Live plans are keyed by (spec key, lowering, backend, workers):
+        # Live plans are keyed by (spec key, backend, workers):
         # specs are backend-neutral, but a lowered plan is bound to one
         # replay variant, so each variant gets its own resident plan.
         self._plans: dict[tuple, InferencePlan] = {}
@@ -372,18 +369,18 @@ class PlanCache:
             self._drop_plans(evicted)
 
     def _drop_plans(self, key: tuple) -> None:
-        """Evict every live backend/lowering variant of ``key``."""
+        """Evict every live backend variant of ``key``."""
         for live in [lk for lk in self._plans if lk[0] == key]:
             del self._plans[live]
 
     # ------------------------------------------------------------------
     def get(self, key: tuple, params: Sequence[Tensor],
             record: Callable[[], tuple[Tensor, list[Tensor], Sequence[Tensor]]],
-            lowering: str | None = None, backend: str | None = None,
+            backend: str | None = None,
             num_workers: int | None = None) -> InferencePlan:
         """Fetch a plan by the three reuse tiers (module docstring).
 
-        ``lowering``/``backend``/``num_workers`` pick the replay variant
+        ``backend``/``num_workers`` pick the replay variant
         of the *live* plan; the spec tiers (memory LRU and disk) are
         shared across variants, so switching backend costs one relower —
         never a record epoch — for a shape whose spec is already cached.
@@ -392,8 +389,7 @@ class PlanCache:
         resolved_backend = resolve_backend(backend)
         workers = (resolve_workers(num_workers)
                    if resolved_backend == "threaded" else 1)
-        live_key = (key, resolve_lowering(lowering), resolved_backend,
-                    workers)
+        live_key = (key, resolved_backend, workers)
         plan = self._plans.get(live_key)
         if plan is not None and plan.matches(params):
             self.hits += 1
@@ -410,8 +406,7 @@ class PlanCache:
                 self._store_memory(key, spec)
         if spec is not None:
             try:
-                plan = build_inference_plan(spec, params, lowering=lowering,
-                                            backend=backend,
+                plan = build_inference_plan(spec, params, backend=backend,
                                             num_workers=num_workers)
             except PlanCacheError:
                 self.invalidations += 1
@@ -426,8 +421,7 @@ class PlanCache:
         output, nodes, inputs = record()
         spec = build_inference_spec(key, output, nodes, inputs, params)
         plan = InferencePlan(output, nodes, inputs, params=params,
-                             lowering=lowering, backend=backend,
-                             num_workers=num_workers)
+                             backend=backend, num_workers=num_workers)
         self._store_memory(key, spec)
         self._store_disk(key, spec)
         self._plans[live_key] = plan
@@ -450,11 +444,10 @@ class PlanCache:
         serving process watches.  ``replays`` counts requests served by
         the resident program without any record or relower work."""
         rows = []
-        for (key, lowering, backend, workers), plan in self._plans.items():
+        for (key, backend, workers), plan in self._plans.items():
             rows.append({
                 "key": hashlib.sha256(repr(key).encode()).hexdigest()[:12],
                 "shapes": [list(s) for s in key[3]] if len(key) > 3 else [],
-                "lowering": lowering,
                 "backend": backend,
                 "workers": workers,
                 "replays": plan.replays,

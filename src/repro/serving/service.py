@@ -121,9 +121,8 @@ class EmbeddingService:
     compiled:
         Serve through cached :class:`InferencePlan` replays (default) or
         the eager tape (``False`` — the debugging escape hatch).
-    lowering, backend, num_workers:
-        Kernel lowering level and replay backend for the service's
-        plans (defaults: the ``REPRO_PLAN_LOWERING`` /
+    backend, num_workers:
+        Replay backend for the service's plans (defaults: the
         ``REPRO_PLAN_BACKEND`` / ``REPRO_PLAN_WORKERS`` environment).
         ``backend="threaded"`` replays batch-parallel-safe kernels
         across a worker pool — bit-identical output, selected per plan
@@ -160,8 +159,8 @@ class EmbeddingService:
     def __init__(self, model: HAFusion, *, n_max: int | None = None,
                  view_dims: Sequence[int] | None = None,
                  view_names: Sequence[str] | None = None,
-                 compiled: bool = True, lowering: str | None = None,
-                 backend: str | None = None, num_workers: int | None = None,
+                 compiled: bool = True, backend: str | None = None,
+                 num_workers: int | None = None,
                  plan_cache: PlanCache | None = None,
                  policy: FlushPolicy | None = None,
                  clock: Callable[[], float] | None = None,
@@ -174,7 +173,6 @@ class EmbeddingService:
                           else inferred_dims)
         self.view_names = tuple(view_names) if view_names is not None else None
         self.compiled = compiled
-        self.lowering = lowering
         self.backend = backend
         self.num_workers = num_workers
         self.plan_cache = (plan_cache if plan_cache is not None
@@ -245,7 +243,6 @@ class EmbeddingService:
             return output, nodes, slots
 
         return self.plan_cache.get(key, params, record,
-                                   lowering=self.lowering,
                                    backend=self.backend,
                                    num_workers=self.num_workers)
 
@@ -579,12 +576,11 @@ class EmbeddingService:
         regions = sum(s["regions"] for s in buckets.values())
         slots = sum(st.slots for st in self._bucket_stats.values())
         seconds = sum(s["seconds"] for s in buckets.values())
-        from ..nn.compile import resolve_backend, resolve_lowering
+        from ..nn.compile import resolve_backend
         return {
             "n_max": self.n_max,
             "view_dims": list(self.view_dims),
             "compiled": self.compiled,
-            "lowering": resolve_lowering(self.lowering),
             "backend": resolve_backend(self.backend),
             "requests": self._submitted,
             "responses": self._answered,

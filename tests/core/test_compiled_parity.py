@@ -139,7 +139,7 @@ class TestCompiledVsEagerFloat64:
 
 class TestWideConvChannels:
     """conv_channels=32, the paper's value: more channels than the nine
-    pooled taps the v2 RegionSA kernels work in (every other config here
+    pooled taps the RegionSA kernels work in (every other config here
     uses c ≤ 8)."""
 
     @pytest.fixture(scope="class")

@@ -99,7 +99,7 @@ class TestServingParity:
 
     def test_wide_conv_channels(self, ragged_cities, tiny_config):
         """conv_channels=32 (more channels than the nine pooled taps of
-        the v2 RegionSA kernel) on a ragged, masked batch."""
+        the RegionSA kernel) on a ragged, masked batch."""
         config = tiny_config.with_overrides(conv_channels=32)
         batch = make_batch(ragged_cities)
         model = build_batched_model(batch, config, seed=0)

@@ -192,9 +192,8 @@ from repro.nn import CompiledStep
 from repro.nn.gradcheck import numeric_gradient
 
 
-def _check_compiled_gradients(loss_fn, tensors, atol=1e-4, rtol=1e-4,
-                              lowering=None):
-    step = CompiledStep(loss_fn, lowering=lowering)
+def _check_compiled_gradients(loss_fn, tensors, atol=1e-4, rtol=1e-4):
+    step = CompiledStep(loss_fn)
     step.run()                      # record
     for t in tensors:
         t.zero_grad()
@@ -242,11 +241,10 @@ def test_compiled_attention_block(rng):
                               [x] + block.parameters())
 
 
-@pytest.mark.parametrize("lowering", ["v1", "v2"])
-def test_compiled_conv_pool_gate_chain(lowering, rng):
-    """The RegionSA gate pattern — pool -> softmax -> ⊙ — exercises the
-    fused kernels (v1: the channel-blocked gate pair; v2: the whole-chain
-    pair); gradcheck pins their backward."""
+def test_compiled_conv_pool_gate_chain(rng):
+    """The RegionSA gate pattern — conv -> pool -> softmax -> ⊙ ->
+    channel mean — exercises the fused whole-chain kernel pair; gradcheck
+    pins its backward."""
     conv = Conv2d(1, 3, kernel_size=3, rng=rng)
     pool = _AvgPool2d(kernel_size=3)
     x = Tensor(rng.standard_normal((1, 5, 5)), requires_grad=True)
@@ -256,15 +254,13 @@ def test_compiled_conv_pool_gate_chain(lowering, rng):
         gate = F.softmax(corr, axis=-1)
         return (corr * gate).mean(axis=-3).sum()
 
-    step = CompiledStep(loss_fn, lowering=lowering)
+    step = CompiledStep(loss_fn)
     step.run()
     assert step.plan.num_fused_chains == 1
-    _check_compiled_gradients(loss_fn, [x] + conv.parameters(),
-                              lowering=lowering)
+    _check_compiled_gradients(loss_fn, [x] + conv.parameters())
 
 
-@pytest.mark.parametrize("lowering", ["v1", "v2"])
-def test_compiled_masked_gate_chain(lowering, rng):
+def test_compiled_masked_gate_chain(rng):
     """The masked gate variant — pool -> +additive_key_mask -> softmax
     -> ⊙ — must also compile to the fused kernels (the padded-batch path
     of the execution engine); gradcheck pins the shared backward."""
@@ -281,11 +277,10 @@ def test_compiled_masked_gate_chain(lowering, rng):
         gate = F.softmax(corr + Tensor(additive), axis=-1)
         return (corr * gate).mean(axis=-3).sum()
 
-    step = CompiledStep(loss_fn, lowering=lowering)
+    step = CompiledStep(loss_fn)
     step.run()
     assert step.plan.num_fused_chains == 1
-    _check_compiled_gradients(loss_fn, [x] + conv.parameters(),
-                              lowering=lowering)
+    _check_compiled_gradients(loss_fn, [x] + conv.parameters())
 
 
 def _region_chain_loss(conv, pool, x, additive, probe):
@@ -319,7 +314,7 @@ def _region_chain_case(rng, n, channels, batched):
                          ids=["unbatched", "batched_masked"])
 def test_compiled_region_chain_wide(n, batched, rng):
     """c=12 channels (more than the 9 pooled taps) through the whole-chain
-    v2 kernel pair; at n ≤ 2 the taps' border corrections overlap."""
+    kernel pair; at n ≤ 2 the taps' border corrections overlap."""
     conv, x, loss_fn = _region_chain_case(rng, n, 12, batched)
     step = CompiledStep(loss_fn)
     step.run()
@@ -327,26 +322,93 @@ def test_compiled_region_chain_wide(n, batched, rng):
     _check_compiled_gradients(loss_fn, [x] + conv.parameters())
 
 
-@pytest.mark.parametrize("lowering", ["v1", "v2"])
-def test_region_chain_kernel_lists(lowering, rng):
-    """v2 replays a RegionSA chain as one kernel per direction, with no
-    conv2d, channel-sum or 1/c scale kernel; v1 keeps all three.  The
-    remaining sum/mul kernels are the probe product and the loss sum."""
+def test_region_chain_kernel_lists(rng):
+    """A RegionSA chain replays as one kernel per direction, with no
+    conv2d, channel-sum or 1/c scale kernel.  The remaining sum/mul
+    kernels are the probe product and the loss sum."""
     from collections import Counter
 
     _, _, loss_fn = _region_chain_case(rng, 4, 12, batched=False)
-    step = CompiledStep(loss_fn, lowering=lowering)
+    step = CompiledStep(loss_fn)
     step.run()
     forward = Counter(tag for tag, _ in step.plan._forward_meta)
     backward = Counter(tag for tag, _ in step.plan._backward_meta)
-    if lowering == "v2":
-        assert forward == {"F:fused_gate": 1, "F:mul": 1, "F:sum": 1}
-        assert backward == {"B:fused_gate": 1, "B:mul": 1, "B:sum": 1}
-    else:
-        assert forward == {"F:conv2d": 1, "F:fused_gate": 1, "F:mul": 2,
-                           "F:sum": 2}
-        assert backward == {"B:conv2d": 1, "B:fused_gate": 1, "B:mul": 2,
-                            "B:sum": 2}
+    assert forward == {"F:fused_gate": 1, "F:mul": 1, "F:sum": 1}
+    assert backward == {"B:fused_gate": 1, "B:mul": 1, "B:sum": 1}
+
+
+def _conv_without_bias(rng):
+    conv = Conv2d(1, 3, kernel_size=3, bias=False, rng=rng)
+    x = Tensor(rng.standard_normal((1, 5, 5)), requires_grad=True)
+    probe = Tensor(rng.standard_normal((5, 5)))
+    pool = _AvgPool2d(kernel_size=3)
+
+    def loss_fn():
+        corr = pool(conv(x))
+        return ((corr * F.softmax(corr, axis=-1)).mean(axis=-3)
+                * probe).sum()
+    return loss_fn, [x] + conv.parameters()
+
+
+def _gate_without_conv(rng):
+    x = Tensor(rng.standard_normal((3, 5, 5)), requires_grad=True)
+    probe = Tensor(rng.standard_normal((5, 5)))
+    pool = _AvgPool2d(kernel_size=3)
+
+    def loss_fn():
+        corr = pool(x)
+        return ((corr * F.softmax(corr, axis=-1)).mean(axis=-3)
+                * probe).sum()
+    return loss_fn, [x]
+
+
+def _product_not_channel_mean(rng):
+    conv = Conv2d(1, 3, kernel_size=3, rng=rng)
+    conv.bias.data[...] = rng.standard_normal(3)
+    x = Tensor(rng.standard_normal((1, 5, 5)), requires_grad=True)
+    probe = Tensor(rng.standard_normal((3, 5)))
+    pool = _AvgPool2d(kernel_size=3)
+
+    def loss_fn():
+        corr = pool(conv(x))
+        return ((corr * F.softmax(corr, axis=-1)).sum(axis=-1)
+                * probe).sum()
+    return loss_fn, [x] + conv.parameters()
+
+
+#: Gate patterns that are not a whole RegionSA chain.
+PARTIAL_GATE_TAPES = {
+    "conv_without_bias": _conv_without_bias,
+    "gate_without_conv": _gate_without_conv,
+    "product_not_channel_mean": _product_not_channel_mean,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_GATE_TAPES))
+def test_partial_gate_chain_replays_generic_kernels(name, rng):
+    """Only a whole RegionSA chain fuses: any other pool -> softmax ->
+    ⊙ pattern replays as generic per-op kernels, within 1e-8 of the
+    eager tape in float64 and gradient-checked."""
+    loss_fn, tensors = PARTIAL_GATE_TAPES[name](rng)
+    eager = loss_fn()
+    eager.backward()
+    expected = [t.grad.copy() for t in tensors]
+    for t in tensors:
+        t.zero_grad()
+
+    step = CompiledStep(loss_fn)
+    step.run()                      # record
+    for t in tensors:
+        t.zero_grad()
+    replayed = step.run()           # replay
+    plan = step.plan
+    assert plan.num_fused_chains == 0
+    tags = [tag for tag, _ in plan._forward_meta + plan._backward_meta]
+    assert not any(tag.endswith("fused_gate") for tag in tags), tags
+    assert abs(replayed - float(eager.data)) <= 1e-8
+    for t, want in zip(tensors, expected):
+        np.testing.assert_allclose(t.grad, want, rtol=0.0, atol=1e-8)
+    _check_compiled_gradients(loss_fn, tensors)
 
 
 def test_compiled_external_attention(rng):

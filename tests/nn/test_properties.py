@@ -147,7 +147,7 @@ def _assert_close(actual, expected, tolerance):
 
 @given(_region_chain_cases())
 def test_fused_region_chain_matches_eager(case):
-    """The v2 RegionSA kernel pair — forward through an InferencePlan,
+    """The RegionSA kernel pair — forward through an InferencePlan,
     backward through a replayed training plan — against the eager
     conv -> pool -> [+mask] -> softmax -> ⊙ -> channel-mean chain."""
     n, channels, batch, keep, dtype, seed = case

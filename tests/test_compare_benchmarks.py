@@ -172,6 +172,40 @@ class TestMain:
         assert "No overlapping benchmarks" in capsys.readouterr().out
 
 
+class TestOneSidedBenchmarks:
+    def test_missing_benchmark_and_new_gauge_listed(self, tmp_path, capsys):
+        base = {"benchmarks": [
+            payload(1.0, {"compiled": {"speedup": 2.1}},
+                    name="bench::kept")["benchmarks"][0],
+            payload(2.0, {"backend": {"speedup": 1.5}},
+                    name="bench::gone")["benchmarks"][0]]}
+        cur = payload(1.0, {"compiled": {"speedup": 2.1},
+                            "serving": {"regions_per_sec": 900.0}},
+                      name="bench::kept")
+        baseline = write(tmp_path, "base.json", base)
+        current = write(tmp_path, "cur.json", cur)
+        rows = compare_benchmarks.unmatched(
+            compare_benchmarks.load_benchmarks(baseline),
+            compare_benchmarks.load_benchmarks(current))
+        assert rows == [
+            "| `bench::gone` | benchmark | missing from current run |",
+            "| `bench::kept` | serving.regions_per_sec | new in current run |",
+        ]
+        assert compare_benchmarks.main([str(baseline), str(current)]) == 0
+        out = capsys.readouterr().out
+        assert "In only one run" in out
+        assert "`bench::gone`" in out
+        assert "No regressions beyond 20%" in out
+
+    def test_disjoint_runs_list_both_sides(self, tmp_path, capsys):
+        baseline = write(tmp_path, "base.json", payload(1.0, name="a"))
+        current = write(tmp_path, "cur.json", payload(1.0, name="b"))
+        assert compare_benchmarks.main([str(baseline), str(current)]) == 0
+        out = capsys.readouterr().out
+        assert "| `a` | benchmark | missing from current run |" in out
+        assert "| `b` | benchmark | new in current run |" in out
+
+
 class TestMissingBaseline:
     def test_falls_back_to_seed_baseline(self, tmp_path, capsys):
         seed = write(tmp_path, "seed.json", payload(1.0, {"speedup": 2.0}))
