@@ -517,10 +517,8 @@ def compiled_speedup_report(city: CityLike,
     speedup compares an eager step against a plan *replay*), together
     with the per-epoch loss differences and the final-embedding max
     absolute difference.  This is the JSON payload the substrate
-    benchmark records and gates (≥2x, ≤1e-8 in float64).  The plan
-    replays on ``REPRO_PLAN_BACKEND``, so the nightly backend matrix
-    steers this report; ``backend`` and ``threaded_ops`` say what ran,
-    and ``top_kernels`` are the five hottest kernels of a
+    benchmark records and gates (≥2x, ≤1e-8 in float64);
+    ``top_kernels`` are the five hottest kernels of a
     :meth:`~repro.nn.compile.Plan.profile` taken after all timing.
     """
     if epochs < 2:
@@ -582,8 +580,6 @@ def compiled_speedup_report(city: CityLike,
         "epochs": epochs,
         "plan_forward_ops": plan.num_forward_ops,
         "plan_backward_ops": plan.num_backward_ops,
-        "backend": plan.backend,
-        "threaded_ops": plan.num_threaded_ops,
         "record_seconds": record_seconds,
         "eager_seconds_per_epoch": eager_seconds,
         "compiled_seconds_per_epoch": compiled_seconds,

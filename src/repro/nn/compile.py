@@ -53,10 +53,7 @@ the record epoch entirely.
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from queue import SimpleQueue
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -66,8 +63,8 @@ from .tensor import Tensor, _is_basic_index, _unbroadcast, record_tape
 
 __all__ = ["Plan", "InferencePlan", "CompiledStep", "compile_step",
            "record_forward", "RECORD_STATS", "RecordStats",
-           "DEFAULT_LOWERING", "DEFAULT_BACKEND",
-           "resolve_lowering", "resolve_backend", "resolve_workers"]
+           "DEFAULT_LOWERING", "resolve_lowering", "resolve_backend",
+           "resolve_workers"]
 
 
 class RecordStats:
@@ -97,7 +94,7 @@ RECORD_STATS = RecordStats()
 
 
 # ----------------------------------------------------------------------
-# Lowering and replay backends
+# Lowering and replay
 # ----------------------------------------------------------------------
 #
 # Every plan lowers one way: batched GEMMs flattened to single BLAS
@@ -106,23 +103,12 @@ RECORD_STATS = RecordStats()
 # kernel scratch leased from a per-plan pool instead of private
 # per-kernel arrays.
 #
-# ``backend`` selects how the flat kernel list is replayed:
-#
-# - ``"serial"`` (default) — one kernel after another on the caller's
-#   thread.
-# - ``"threaded"`` — batch-parallel-safe kernels are partitioned into
-#   contiguous slices of their leading axis and executed on a persistent
-#   worker pool; kernels with cross-slice dependencies (rng draws,
-#   cross-batch reductions, scatter-accumulates) stay serial.  Slices
-#   compute the *same* elements with the same reduction orders, so the
-#   result is bit-identical to the serial backend.
-#
-# The backend and its worker count resolve from the environment when not
-# passed explicitly: ``REPRO_PLAN_BACKEND``, ``REPRO_PLAN_WORKERS``.
+# Every plan replays its flat kernel list on the caller's thread, one
+# kernel after another; BLAS owns all parallelism.  The resolvers below
+# name that one lowering and one replay for the benchmark's machine
+# record.
 
 DEFAULT_LOWERING = "v2"
-DEFAULT_BACKEND = "serial"
-BACKENDS = ("serial", "threaded")
 
 
 def resolve_lowering(lowering: str | None = None) -> str:
@@ -136,96 +122,20 @@ def resolve_lowering(lowering: str | None = None) -> str:
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    value = backend or os.environ.get("REPRO_PLAN_BACKEND") or DEFAULT_BACKEND
-    if value not in BACKENDS:
+    """The name of the one replay, serial on the caller's thread (the
+    benchmark's machine record reports it); any other explicit value is
+    an error."""
+    value = backend or "serial"
+    if value != "serial":
         raise ValueError(f"unknown plan backend {value!r}; "
-                         f"expected one of {BACKENDS}")
+                         "plans replay serially")
     return value
 
 
 def resolve_workers(num_workers: int | None = None) -> int:
-    if num_workers is None:
-        env = os.environ.get("REPRO_PLAN_WORKERS")
-        num_workers = int(env) if env else min(4, os.cpu_count() or 1)
-    return max(1, int(num_workers))
-
-
-class _WorkerPool:
-    """Persistent daemon-thread pool for the threaded replay backend.
-
-    ``run(thunks)`` executes the thunks concurrently and returns when all
-    have finished: the caller's thread runs the first thunk while the
-    helper threads drain the rest, so a pool sized for ``n`` slices keeps
-    ``n - 1`` helper threads.  Pools are shared module-wide by size —
-    every threaded plan with the same worker count replays on the same
-    threads (plans replay one kernel at a time, and ``run`` itself is
-    serialized, so partitions from different plans never interleave).
-    """
-
-    _shared: dict[int, "_WorkerPool"] = {}
-    _shared_lock = threading.Lock()
-
-    def __init__(self, helpers: int):
-        self._queue: SimpleQueue = SimpleQueue()
-        self._done = threading.Condition()
-        self._pending = 0
-        self._errors: list[BaseException] = []
-        self._run_lock = threading.Lock()
-        for i in range(helpers):
-            threading.Thread(target=self._loop, daemon=True,
-                             name=f"repro-plan-worker-{i}").start()
-
-    @classmethod
-    def shared(cls, workers: int) -> "_WorkerPool":
-        helpers = max(0, workers - 1)
-        with cls._shared_lock:
-            pool = cls._shared.get(helpers)
-            if pool is None:
-                pool = cls._shared[helpers] = cls(helpers)
-            return pool
-
-    def _loop(self) -> None:
-        while True:
-            fn = self._queue.get()
-            try:
-                fn()
-            except BaseException as exc:   # surfaced by run()
-                with self._done:
-                    self._errors.append(exc)
-            finally:
-                with self._done:
-                    self._pending -= 1
-                    if self._pending == 0:
-                        self._done.notify_all()
-
-    def run(self, thunks: Sequence[Callable[[], None]]) -> None:
-        with self._run_lock:
-            rest = thunks[1:]
-            if rest:
-                with self._done:
-                    self._pending += len(rest)
-                for fn in rest:
-                    self._queue.put(fn)
-            thunks[0]()
-            if rest:
-                with self._done:
-                    while self._pending:
-                        self._done.wait()
-                    if self._errors:
-                        errors, self._errors = list(self._errors), []
-                        raise errors[0]
-
-
-def _slice_bounds(n: int, parts: int) -> list[tuple[int, int]]:
-    """Contiguous, balanced partition of ``range(n)`` into ≤ ``parts``."""
-    parts = max(1, min(parts, n))
-    step, extra = divmod(n, parts)
-    bounds, lo = [], 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+    """Plan replay threads: always one (the benchmark's machine record
+    reports it)."""
+    return 1
 
 
 class _BuildContext:
@@ -236,8 +146,9 @@ class _BuildContext:
     the fused LayerNorm rows, accumulate-path products) lease them by
     (shape, dtype, tag) instead of allocating per kernel.  Kernel
     scratch is dead outside its own kernel and kernels replay one at a
-    time, so every same-shaped lease shares one buffer; threaded slices
-    that need disjoint scratch distinguish themselves with ``tag``.
+    time, so every same-shaped lease shares one buffer; a kernel that
+    needs two same-shaped temporaries at once tells them apart with
+    ``tag``.
     """
 
     KEY = "__build__"   # scratch-dict key (node keys are ints, no clash)
@@ -1985,367 +1896,8 @@ _BWD = {
 }
 
 
-# ----------------------------------------------------------------------
-# Threaded backend: batch-parallel kernel partitioning
-# ----------------------------------------------------------------------
-#
-# The threaded replay backend splits *batch-parallel-safe* kernels into
-# per-slice thunks over the leading axis and runs them on the shared
-# worker pool; everything else — cross-batch reductions (sum/dB/dbias),
-# dropout's sequential RNG, conv's overlapping scatter, fancy-index
-# backward — replays serially on the caller's thread.  Every slice
-# computes exactly the rows the serial kernel would (elementwise ufuncs,
-# row-wise softmax, and m-split GEMMs are all row-independent), so a
-# threaded replay is bitwise identical to a serial replay of the same
-# plan.
-
-#: Don't split outputs smaller than this (elements): per-kernel pool
-#: dispatch costs more than the sweep it parallelizes.
-_PARTITION_MIN_ELEMENTS = 32768
-
-_UNARY_FWD_UFUNC = {"exp": np.exp, "log": np.log, "tanh": np.tanh}
-
-
-def _partition_fwd(node, scratch, workers):
-    """Per-slice thunks for a batch-parallel-safe forward kernel, or
-    None when the op must replay serially."""
-    op = node._op
-    out = node.data
-    if out.ndim < 2 or out.size < _PARTITION_MIN_ELEMENTS:
-        return None
-    bounds = _slice_bounds(out.shape[0], workers)
-    if len(bounds) < 2:
-        return None
-
-    if op in ("add", "mul"):
-        a, b = node._prev[0].data, node._prev[1].data
-        if a.shape != out.shape or b.shape != out.shape:
-            return None   # broadcasting: slices would not align
-        ufunc = np.add if op == "add" else np.multiply
-        return [lambda lo=lo, hi=hi:
-                ufunc(a[lo:hi], b[lo:hi], out=out[lo:hi])
-                for lo, hi in bounds]
-
-    if op in _UNARY_FWD_UFUNC:
-        a = node._prev[0].data
-        ufunc = _UNARY_FWD_UFUNC[op]
-        return [lambda lo=lo, hi=hi: ufunc(a[lo:hi], out=out[lo:hi])
-                for lo, hi in bounds]
-
-    if op == "relu":
-        a = node._prev[0].data
-        return [lambda lo=lo, hi=hi:
-                np.maximum(a[lo:hi], 0.0, out=out[lo:hi])
-                for lo, hi in bounds]
-
-    if op == "abs":
-        a = node._prev[0].data
-        return [lambda lo=lo, hi=hi: np.abs(a[lo:hi], out=out[lo:hi])
-                for lo, hi in bounds]
-
-    if op == "sigmoid":
-        a = node._prev[0].data
-
-        def sig_part(lo, hi):
-            o = out[lo:hi]
-            np.negative(a[lo:hi], out=o)
-            np.exp(o, out=o)
-            np.add(o, 1.0, out=o)
-            np.divide(1.0, o, out=o)
-        return [lambda lo=lo, hi=hi: sig_part(lo, hi) for lo, hi in bounds]
-
-    if op == "leaky_relu":
-        (slope,) = node._ctx
-        a = node._prev[0].data
-
-        def leaky_part(lo, hi):
-            o = out[lo:hi]
-            asl = a[lo:hi]
-            np.multiply(asl, slope, out=o)
-            np.copyto(o, asl, where=asl > 0.0)
-        return [lambda lo=lo, hi=hi: leaky_part(lo, hi) for lo, hi in bounds]
-
-    if op == "pow":
-        (exponent,) = node._ctx
-        a = node._prev[0].data
-        return [lambda lo=lo, hi=hi:
-                np.copyto(out[lo:hi], a[lo:hi] ** exponent)
-                for lo, hi in bounds]
-
-    if op == "softmax":
-        (axis,) = node._ctx
-        if axis % out.ndim == 0:
-            return None   # normalizing over the split axis
-        a = node._prev[0].data
-
-        def sm_part(lo, hi):
-            asl, o = a[lo:hi], out[lo:hi]
-            np.subtract(asl, asl.max(axis=axis, keepdims=True), out=o)
-            np.exp(o, out=o)
-            np.divide(o, o.sum(axis=axis, keepdims=True), out=o)
-        return [lambda lo=lo, hi=hi: sm_part(lo, hi) for lo, hi in bounds]
-
-    if op == "log_softmax":
-        (axis,) = node._ctx
-        if axis % out.ndim == 0:
-            return None
-        a = node._prev[0].data
-
-        def lsm_part(lo, hi):
-            asl, o = a[lo:hi], out[lo:hi]
-            np.subtract(asl, asl.max(axis=axis, keepdims=True), out=o)
-            np.subtract(o, np.log(np.exp(o).sum(axis=axis, keepdims=True)),
-                        out=o)
-        return [lambda lo=lo, hi=hi: lsm_part(lo, hi) for lo, hi in bounds]
-
-    if op == "matmul":
-        a, b = node._prev[0].data, node._prev[1].data
-        if b.ndim != 2:
-            return None
-        if a.ndim == 2:
-            return [lambda lo=lo, hi=hi:
-                    np.matmul(a[lo:hi], b, out=out[lo:hi])
-                    for lo, hi in bounds]
-        # m-split of the flattened-rows GEMM (rows independent) — only
-        # when the serial kernel takes the same flattened path, so the
-        # two backends sum identical k-panels.
-        if a.flags.c_contiguous and out.flags.c_contiguous:
-            a2 = a.reshape(-1, a.shape[-1])
-            o2 = out.reshape(-1, out.shape[-1])
-            rb = _slice_bounds(a2.shape[0], workers)
-            if len(rb) < 2:
-                return None
-            return [lambda lo=lo, hi=hi:
-                    np.matmul(a2[lo:hi], b, out=o2[lo:hi])
-                    for lo, hi in rb]
-        return None
-
-    return None
-
-
-def _bwd_store_flags(node, written):
-    """Peek ``written`` (read-only, *before* the serial builder marks it)
-    and return {id(parent): first-write?} in the builder's edge order."""
-    flags: dict[int, bool] = {}
-    for p in node._prev:
-        if p.requires_grad and id(p) not in flags:
-            flags[id(p)] = id(p) not in written
-    return flags
-
-
-def _sliced_sink(pg, store, bounds):
-    """Per-slice store/accumulate closures for a same-shaped gradient
-    contribution (the partitioned twin of :func:`_contrib_sink`)."""
-    if store:
-        return [lambda c, dst=pg[lo:hi]: np.copyto(dst, c)
-                for lo, hi in bounds]
-    return [lambda c, dst=pg[lo:hi]: np.add(dst, c, out=dst)
-            for lo, hi in bounds]
-
-
-def _partition_bwd(node, grads, written, scratch, workers):
-    """Per-slice thunks for a batch-parallel-safe backward kernel, or
-    None when the op must replay serially.
-
-    Must run *before* the serial builder for the same node: the
-    store-vs-accumulate decision peeks ``written`` without marking it
-    (the serial builder, which always runs afterwards, does the
-    marking).
-    """
-    op = node._op
-    g = grads.get(id(node))
-    if g is None or g.ndim < 2 or g.size < _PARTITION_MIN_ELEMENTS:
-        return None
-    bounds = _slice_bounds(g.shape[0], workers)
-    if len(bounds) < 2:
-        return None
-    flags = _bwd_store_flags(node, written)
-
-    if op == "add":
-        sinks = []
-        for p in node._prev:
-            if not p.requires_grad:
-                continue
-            pg = grads[id(p)]
-            if pg.shape != g.shape:
-                return None
-            sinks.append((pg, flags.pop(id(p), False)))
-        if not sinks:
-            return None
-
-        def add_part(lo, hi):
-            gsl = g[lo:hi]
-            for pg, store in sinks:
-                if store:
-                    np.copyto(pg[lo:hi], gsl)
-                else:
-                    np.add(pg[lo:hi], gsl, out=pg[lo:hi])
-        return [lambda lo=lo, hi=hi: add_part(lo, hi) for lo, hi in bounds]
-
-    if op == "mul":
-        a, b = node._prev
-        edges = []
-        for self_t, other_t in ((a, b), (b, a)):
-            if not self_t.requires_grad:
-                continue
-            pg = grads[id(self_t)]
-            other = other_t.data
-            if pg.shape != g.shape or other.shape != g.shape:
-                return None
-            edges.append((pg, other, flags.pop(id(self_t), False)))
-        if not edges:
-            return None
-        parts = []
-        for w, (lo, hi) in enumerate(bounds):
-            tmps = [None if store else
-                    _lease(scratch, g[lo:hi].shape, g.dtype, ("mul_p", w, i))
-                    for i, (pg, other, store) in enumerate(edges)]
-
-            def mul_part(lo=lo, hi=hi, tmps=tmps):
-                gsl = g[lo:hi]
-                for (pg, other, store), tmp in zip(edges, tmps):
-                    if store:
-                        np.multiply(gsl, other[lo:hi], out=pg[lo:hi])
-                    else:
-                        np.multiply(gsl, other[lo:hi], out=tmp)
-                        np.add(pg[lo:hi], tmp, out=pg[lo:hi])
-            parts.append(mul_part)
-        return parts
-
-    if op in ("exp", "log", "tanh", "sigmoid", "relu", "leaky_relu",
-              "abs", "pow"):
-        parent = node._prev[0]
-        if not parent.requires_grad:
-            return None
-        pg = grads[id(parent)]
-        if pg.shape != g.shape:
-            return None
-        store = flags.get(id(parent), False)
-        out = node.data
-        a = parent.data
-        ctx = node._ctx
-
-        def unary_contrib(lo, hi):
-            gsl = g[lo:hi]
-            if op == "exp":
-                return gsl * out[lo:hi]
-            if op == "log":
-                return gsl / a[lo:hi]
-            if op == "tanh":
-                return gsl * (1.0 - out[lo:hi] ** 2)
-            if op == "sigmoid":
-                return gsl * out[lo:hi] * (1.0 - out[lo:hi])
-            if op == "relu":
-                return gsl * (a[lo:hi] > 0.0)
-            if op == "leaky_relu":
-                return np.where(a[lo:hi] > 0.0, gsl, gsl * ctx[0])
-            if op == "abs":
-                return gsl * np.sign(a[lo:hi])
-            return gsl * ctx[0] * a[lo:hi] ** (ctx[0] - 1.0)   # pow
-
-        sinks = _sliced_sink(pg, store, bounds)
-        return [lambda lo=lo, hi=hi, sink=sink: sink(unary_contrib(lo, hi))
-                for (lo, hi), sink in zip(bounds, sinks)]
-
-    if op == "softmax":
-        (axis,) = node._ctx
-        if axis % g.ndim == 0:
-            return None   # reduction over the split axis
-        parent = node._prev[0]
-        if not parent.requires_grad:
-            return None
-        pg = grads[id(parent)]
-        if pg.shape != g.shape:
-            return None
-        store = flags.get(id(parent), False)
-        out = node.data
-        parts = []
-        for w, (lo, hi) in enumerate(bounds):
-            tmp = (pg[lo:hi] if store else
-                   _lease(scratch, g[lo:hi].shape, g.dtype, ("softmax_p", w)))
-
-            def sm_part(lo=lo, hi=hi, tmp=tmp):
-                gsl, osl = g[lo:hi], out[lo:hi]
-                np.multiply(gsl, osl, out=tmp)
-                dot = tmp.sum(axis=axis, keepdims=True)
-                np.subtract(gsl, dot, out=tmp)
-                np.multiply(osl, tmp, out=tmp)
-                if not store:
-                    np.add(pg[lo:hi], tmp, out=pg[lo:hi])
-            parts.append(sm_part)
-        return parts
-
-    if op == "matmul":
-        a_t, b_t = node._prev
-        if a_t is b_t:
-            return None   # dA and dB would race on one buffer
-        a, b = a_t.data, b_t.data
-        if not a_t.requires_grad or b.ndim != 2 or a.ndim < 2:
-            return None
-        pg = grads[id(a_t)]
-        store_a = flags.get(id(a_t), False)
-        b_T = b.T
-        if a.ndim == 2:
-            if pg.shape != (g.shape[0], b_T.shape[1]):
-                return None
-            g2, pg2 = g, pg
-            rb = bounds
-        else:
-            # Mirror the serial flattened-dA path's exact conditions.
-            if not (g.flags.c_contiguous and pg.flags.c_contiguous
-                    and pg.shape == a.shape):
-                return None
-            g2 = g.reshape(-1, g.shape[-1])
-            pg2 = pg.reshape(-1, pg.shape[-1])
-            rb = _slice_bounds(g2.shape[0], workers)
-            if len(rb) < 2:
-                return None
-        parts = []
-        for w, (lo, hi) in enumerate(rb):
-            if store_a:
-                parts.append(lambda lo=lo, hi=hi:
-                             np.matmul(g2[lo:hi], b_T, out=pg2[lo:hi]))
-            else:
-                tmp = _lease(scratch, pg2[lo:hi].shape, pg.dtype, ("mm_p", w))
-
-                def acc_part(lo=lo, hi=hi, tmp=tmp):
-                    np.matmul(g2[lo:hi], b_T, out=tmp)
-                    np.add(pg2[lo:hi], tmp, out=pg2[lo:hi])
-                parts.append(acc_part)
-        # dB is a cross-batch reduction — one serial thunk, run
-        # concurrently with the dA slices (disjoint output buffers).
-        if b_t.requires_grad:
-            pgb = grads[id(b_t)]
-            store_b = flags.get(id(b_t), False)
-            if a.ndim == 2:
-                if pgb.shape != (a.shape[1], g.shape[1]):
-                    return None
-                a2_T = a.T
-            else:
-                # Only when the serial flattened-dB path applies (one
-                # flat GEMM); any other association must stay serial.
-                if not (a.flags.c_contiguous and g.flags.c_contiguous
-                        and a.shape[:-2] == g.shape[:-2]):
-                    return None
-                a2_T = a.reshape(-1, a.shape[-1]).T
-            g2b = g.reshape(-1, g.shape[-1]) if g.ndim > 2 else g
-            if store_b:
-                parts.append(lambda: np.matmul(a2_T, g2b, out=pgb))
-            else:
-                tmpb = _lease(scratch, pgb.shape, pgb.dtype, ("mm_p", "b"))
-
-                def acc_b_part(tmpb=tmpb):
-                    np.matmul(a2_T, g2b, out=tmpb)
-                    np.add(pgb, tmpb, out=pgb)
-                parts.append(acc_b_part)
-        return parts
-
-    return None
-
-
 def _fusion_forward(fusion, scratch, inference: bool = False):
-    """(kernel, profile tag) for the forward kernel at a fusion's head.
-    Fused kernels replay unpartitioned on either backend."""
+    """(kernel, profile tag) for the forward kernel at a fusion's head."""
     if isinstance(fusion, _LNFusion):
         return (_fused_ln_forward(fusion, scratch, inference),
                 "F:fused_layernorm")
@@ -2360,20 +1912,6 @@ def _fusion_backward(fusion, grads, written, scratch):
                 "B:fused_layernorm")
     return (_fused_region_backward(fusion, grads, written, scratch),
             "B:fused_gate")
-
-
-def _replay(ops, parts, pool) -> None:
-    """Run a kernel list: serially, or — with a worker ``pool`` — each
-    kernel that has threaded slices as ``pool.run(slices)``."""
-    if pool is None:
-        for fn in ops:
-            fn()
-        return
-    for fn, slices in zip(ops, parts):
-        if slices is None:
-            fn()
-        else:
-            pool.run(slices)
 
 
 # ----------------------------------------------------------------------
@@ -2435,19 +1973,13 @@ def _fusion_bytes(fusion) -> int:
     return total
 
 
-def _profile_ops(ops, meta, stats, kernels, parts=None, pool=None) -> float:
+def _profile_ops(ops, meta, stats, kernels) -> float:
     """Time one replay of ``ops`` kernel-by-kernel into ``stats`` (keyed
-    by op tag) and ``kernels`` (keyed by kernel index within the list).
-    Each kernel runs as :func:`_replay` runs it, so with a worker
-    ``pool`` a partitioned kernel is timed as ``pool.run(slices)``."""
+    by op tag) and ``kernels`` (keyed by kernel index within the list)."""
     total = 0.0
     for i, (fn, (tag, nbytes)) in enumerate(zip(ops, meta)):
-        slices = parts[i] if pool is not None else None
         t0 = time.perf_counter()
-        if slices is None:
-            fn()
-        else:
-            pool.run(slices)
+        fn()
         dt = time.perf_counter() - t0
         total += dt
         entry = stats.setdefault(tag, {"count": 0, "calls": 0,
@@ -2615,15 +2147,9 @@ class Plan:
     """
 
     def __init__(self, loss: Tensor, nodes: list[Tensor],
-                 pool_gradients: bool = True, backend: str | None = None,
-                 num_workers: int | None = None):
+                 pool_gradients: bool = True):
         if not loss.requires_grad or loss.size != 1:
             raise ValueError("plan requires a scalar loss with requires_grad")
-        self.backend = resolve_backend(backend)
-        self.num_workers = resolve_workers(num_workers) \
-            if self.backend == "threaded" else 1
-        self._worker_pool = (_WorkerPool.shared(self.num_workers)
-                             if self.num_workers > 1 else None)
         recorded = {id(n) for n in nodes}
         # Reachable-from-loss subgraph (the part that owes gradients).
         reachable: dict[int, Tensor] = {}
@@ -2669,12 +2195,8 @@ class Plan:
         build = _BuildContext()
         scratch: dict = {_BuildContext.KEY: build}
         self._build = build
-        threaded = self._worker_pool is not None
         self._forward_ops: list[Callable[[], None]] = []
         self._forward_meta: list[tuple[str, int]] = []
-        #: Aligned with _forward_ops: per-slice thunk lists for the
-        #: threaded backend (None = replay the serial kernel).
-        self._forward_parts: list[list | None] = []
         for node in nodes:
             if id(node) in fuse_fwd_skip:
                 continue
@@ -2683,7 +2205,6 @@ class Plan:
                 fn, tag = _fusion_forward(fusion, scratch)
                 self._forward_ops.append(fn)
                 self._forward_meta.append((tag, _fusion_bytes(fusion)))
-                self._forward_parts.append(None)
                 continue
             builder = _FWD.get(node._op)
             if builder is None:
@@ -2693,13 +2214,9 @@ class Plan:
             if fn is not None:
                 self._forward_ops.append(fn)
                 self._forward_meta.append((f"F:{node._op}", _node_bytes(node)))
-                self._forward_parts.append(
-                    _partition_fwd(node, scratch, self.num_workers)
-                    if threaded else None)
 
         self._backward_ops: list[Callable[[], None]] = []
         self._backward_meta: list[tuple[str, int]] = []
-        self._backward_parts: list[list | None] = []
         written: set[int] = {id(loss)}
         for node in reversed(nodes):
             if id(node) not in reachable or id(node) in fuse_bwd_skip:
@@ -2711,20 +2228,15 @@ class Plan:
                                                scratch)
                     self._backward_ops.append(fn)
                     self._backward_meta.append((tag, _fusion_bytes(fusion)))
-                    self._backward_parts.append(None)
                 continue
             builder = _BWD.get(node._op)
             if builder is None:
                 raise NotImplementedError(
                     f"op {node._op!r} has no compiled backward kernel")
-            parts = (_partition_bwd(node, grads, written, scratch,
-                                    self.num_workers)
-                     if threaded else None)
             fn = builder(node, grads, written, scratch)
             if fn is not None:
                 self._backward_ops.append(fn)
                 self._backward_meta.append((f"B:{node._op}", _node_bytes(node)))
-                self._backward_parts.append(parts)
         self.num_fused_chains = len(region_fusions)
         self.num_fused_layernorms = len(ln_fusions)
 
@@ -2841,9 +2353,7 @@ class Plan:
         around every kernel and aggregates by op tag (``F:matmul``,
         ``B:fused_gate``, ...).  This is a separate instrumented walk of
         the same kernel lists — :meth:`forward`/:meth:`backward` carry
-        zero profiling overhead when it is not called — that runs each
-        kernel as they do, so a threaded plan's partitioned kernels are
-        timed as their slices on the worker pool.  Returns op-kind
+        zero profiling overhead when it is not called.  Returns op-kind
         aggregates sorted by time plus the five hottest individual
         kernels (``tag#index``, seconds averaged per replay).
 
@@ -2854,12 +2364,11 @@ class Plan:
         stats: dict[str, dict] = {}
         kernels: dict[tuple, dict] = {}
         total = 0.0
-        pool = self._worker_pool
         for _ in range(max(1, replays)):
             total += _profile_ops(self._forward_ops, self._forward_meta,
-                                  stats, kernels, self._forward_parts, pool)
+                                  stats, kernels)
             total += _profile_ops(self._backward_ops, self._backward_meta,
-                                  stats, kernels, self._backward_parts, pool)
+                                  stats, kernels)
             if include_update and self._update_ops:
                 total += _profile_ops(self._update_ops, self._update_meta,
                                       stats, kernels)
@@ -2881,13 +2390,14 @@ class Plan:
 
     @property
     def num_threaded_ops(self) -> int:
-        """Kernels the threaded backend replays as parallel slices."""
-        return (sum(p is not None for p in self._forward_parts)
-                + sum(p is not None for p in self._backward_parts))
+        """Kernels replayed off the caller's thread: none (the benchmark's
+        training probe reports it)."""
+        return 0
 
     def forward(self) -> float:
         """Replay the forward pass in-place; returns the loss value."""
-        _replay(self._forward_ops, self._forward_parts, self._worker_pool)
+        for fn in self._forward_ops:
+            fn()
         return float(self._loss_data)
 
     def backward(self) -> None:
@@ -2897,7 +2407,8 @@ class Plan:
         buffers (marked not-owned, so any later eager accumulation copies
         rather than corrupting them).
         """
-        _replay(self._backward_ops, self._backward_parts, self._worker_pool)
+        for fn in self._backward_ops:
+            fn()
         for t, buf in self.leaves:
             t.grad = buf
             t._grad_owned = False
@@ -3014,15 +2525,9 @@ class InferencePlan:
 
     def __init__(self, output: Tensor, nodes: list[Tensor],
                  inputs: Sequence[Tensor], params: Sequence[Tensor] | None = None,
-                 pool_buffers: bool = True, backend: str | None = None,
-                 num_workers: int | None = None):
+                 pool_buffers: bool = True):
         if not output._prev:
             raise ValueError("inference plan output must be a computed node")
-        self.backend = resolve_backend(backend)
-        self.num_workers = resolve_workers(num_workers) \
-            if self.backend == "threaded" else 1
-        self._worker_pool = (_WorkerPool.shared(self.num_workers)
-                             if self.num_workers > 1 else None)
         recorded = {id(n) for n in nodes}
         reachable: dict[int, Tensor] = {}
         stack = [output]
@@ -3074,10 +2579,8 @@ class InferencePlan:
         build = _BuildContext()
         scratch: dict = {_BuildContext.KEY: build}
         self._build = build
-        threaded = self._worker_pool is not None
         self._forward_ops: list[Callable[[], None]] = []
         self._forward_meta: list[tuple[str, int]] = []
-        self._forward_parts: list[list | None] = []
         for node in order:
             if id(node) in fuse_fwd_skip:
                 continue
@@ -3086,7 +2589,6 @@ class InferencePlan:
                 fn, tag = _fusion_forward(fusion, scratch, inference=True)
                 self._forward_ops.append(fn)
                 self._forward_meta.append((tag, _fusion_bytes(fusion)))
-                self._forward_parts.append(None)
                 continue
             builder = _FWD.get(node._op)
             if builder is None:
@@ -3096,9 +2598,6 @@ class InferencePlan:
             if fn is not None:
                 self._forward_ops.append(fn)
                 self._forward_meta.append((f"F:{node._op}", _node_bytes(node)))
-                self._forward_parts.append(
-                    _partition_fwd(node, scratch, self.num_workers)
-                    if threaded else None)
 
         self.num_fused_chains = len(region_fusions)
         self.num_fused_layernorms = len(ln_fusions)
@@ -3195,11 +2694,6 @@ class InferencePlan:
         return len(self._forward_ops)
 
     @property
-    def num_threaded_ops(self) -> int:
-        """Kernels the threaded backend replays as parallel slices."""
-        return sum(p is not None for p in self._forward_parts)
-
-    @property
     def inputs(self) -> list[Tensor]:
         return self._inputs
 
@@ -3232,8 +2726,7 @@ class InferencePlan:
         total = 0.0
         for _ in range(max(1, replays)):
             total += _profile_ops(self._forward_ops, self._forward_meta,
-                                  stats, kernels, self._forward_parts,
-                                  self._worker_pool)
+                                  stats, kernels)
         return _profile_report(stats, kernels, max(1, replays), total)
 
     def run(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -3253,7 +2746,8 @@ class InferencePlan:
                 raise ValueError(f"input shape {src.shape} does not match "
                                  f"plan slot {slot.shape}")
             np.copyto(slot, src)
-        _replay(self._forward_ops, self._forward_parts, self._worker_pool)
+        for fn in self._forward_ops:
+            fn()
         self.replays += 1
         return self._output
 
@@ -3287,14 +2781,11 @@ class CompiledStep:
 
     def __init__(self, loss_fn: Callable[[], Tensor],
                  signature_fn: Callable[[], Hashable] | None = None,
-                 optimizer=None, grad_clip: float = 0.0,
-                 backend: str | None = None, num_workers: int | None = None):
+                 optimizer=None, grad_clip: float = 0.0):
         self._loss_fn = loss_fn
         self._signature_fn = signature_fn
         self._optimizer = optimizer
         self._grad_clip = grad_clip
-        self._backend = backend
-        self._num_workers = num_workers
         self._plan: Plan | None = None
         self._signature: Hashable | None = None
         self.compile_count = 0   # number of (re-)recordings performed
@@ -3324,8 +2815,7 @@ class CompiledStep:
         with record_tape() as nodes:
             loss = self._loss_fn()
         RECORD_STATS.training_records += 1
-        self._plan = Plan(loss, nodes, backend=self._backend,
-                          num_workers=self._num_workers)
+        self._plan = Plan(loss, nodes)
         if self._optimizer is not None:
             self._plan.fuse_optimizer(self._optimizer, self._grad_clip)
         self._signature = signature
@@ -3340,9 +2830,6 @@ class CompiledStep:
 
 def compile_step(loss_fn: Callable[[], Tensor],
                  signature_fn: Callable[[], Hashable] | None = None,
-                 optimizer=None, grad_clip: float = 0.0,
-                 backend: str | None = None,
-                 num_workers: int | None = None) -> CompiledStep:
+                 optimizer=None, grad_clip: float = 0.0) -> CompiledStep:
     """Convenience constructor mirroring ``torch.compile``'s shape."""
-    return CompiledStep(loss_fn, signature_fn, optimizer, grad_clip,
-                        backend=backend, num_workers=num_workers)
+    return CompiledStep(loss_fn, signature_fn, optimizer, grad_clip)

@@ -23,12 +23,6 @@ Three reuse tiers, all keyed on
    (when a cache directory is configured) on disk, so later *processes*
    start at tier 2.
 
-Specs are **backend-neutral**: the replay backend (serial vs.
-threaded) is a property of the *built* plan, not of the stored program,
-so requesting a different backend for a cached shape costs a tier-2
-relower — zero record epochs — and each variant stays resident
-independently.
-
 Robustness: a corrupted, truncated, version-skewed or key-mismatched
 on-disk entry — and a stored spec whose parameter shapes no longer match
 the model — falls back to a fresh record (the bad file is removed).  The
@@ -49,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compile import InferencePlan, resolve_backend, resolve_workers
+from .compile import InferencePlan
 from .tensor import Tensor
 
 __all__ = [
@@ -227,20 +221,13 @@ def _stub(data: np.ndarray, prev: tuple = (), op: str = "",
     return t
 
 
-def build_inference_plan(spec: PlanSpec, params: Sequence[Tensor],
-                         backend: str | None = None,
-                         num_workers: int | None = None) -> InferencePlan:
+def build_inference_plan(spec: PlanSpec,
+                         params: Sequence[Tensor]) -> InferencePlan:
     """Relower a :class:`PlanSpec` to a live plan — no eager pass, no
     record epoch.  ``params`` must be the model's parameter list in the
     same order the spec was built with (the config digest in the key
     pins the architecture; shape/dtype mismatches raise
-    :class:`PlanCacheError`).
-
-    ``backend``/``num_workers`` select the replay backend of the *built*
-    plan (defaults: the ``REPRO_PLAN_BACKEND`` / ``REPRO_PLAN_WORKERS``
-    environment).  A spec is backend-neutral — the same on-disk spec
-    relowers to a serial or a threaded plan with no record epoch either
-    way."""
+    :class:`PlanCacheError`)."""
     if spec.version != SPEC_VERSION:
         raise PlanCacheError(f"spec version {spec.version} != {SPEC_VERSION}")
     params = list(params)
@@ -281,8 +268,7 @@ def build_inference_plan(spec: PlanSpec, params: Sequence[Tensor],
     order = [t for t, kind in zip(tensors, spec.kinds) if kind == "op"]
     if any(t is None for t in inputs):
         raise PlanCacheError("spec input slots are not contiguous")
-    return InferencePlan(tensors[spec.output], order, inputs, params=params,
-                         backend=backend, num_workers=num_workers)
+    return InferencePlan(tensors[spec.output], order, inputs, params=params)
 
 
 # ----------------------------------------------------------------------
@@ -311,10 +297,7 @@ class PlanCache:
         self.capacity = capacity
         self.directory = Path(directory) if directory is not None else None
         self._specs: OrderedDict[tuple, PlanSpec] = OrderedDict()
-        # Live plans are keyed by (spec key, backend, workers):
-        # specs are backend-neutral, but a lowered plan is bound to one
-        # replay variant, so each variant gets its own resident plan.
-        self._plans: dict[tuple, InferencePlan] = {}
+        self._plans: dict[tuple, InferencePlan] = {}   # live, by spec key
         self.hits = 0          # live plan, matching bound parameters
         self.spec_hits = 0     # relowered from a cached spec (no record)
         self.disk_hits = 0     # spec loaded from disk
@@ -366,31 +349,15 @@ class PlanCache:
         self._specs.move_to_end(key)
         while len(self._specs) > self.capacity:
             evicted, _ = self._specs.popitem(last=False)
-            self._drop_plans(evicted)
-
-    def _drop_plans(self, key: tuple) -> None:
-        """Evict every live backend variant of ``key``."""
-        for live in [lk for lk in self._plans if lk[0] == key]:
-            del self._plans[live]
+            self._plans.pop(evicted, None)
 
     # ------------------------------------------------------------------
     def get(self, key: tuple, params: Sequence[Tensor],
-            record: Callable[[], tuple[Tensor, list[Tensor], Sequence[Tensor]]],
-            backend: str | None = None,
-            num_workers: int | None = None) -> InferencePlan:
-        """Fetch a plan by the three reuse tiers (module docstring).
-
-        ``backend``/``num_workers`` pick the replay variant
-        of the *live* plan; the spec tiers (memory LRU and disk) are
-        shared across variants, so switching backend costs one relower —
-        never a record epoch — for a shape whose spec is already cached.
-        """
+            record: Callable[[], tuple[Tensor, list[Tensor], Sequence[Tensor]]]
+            ) -> InferencePlan:
+        """Fetch a plan by the three reuse tiers (module docstring)."""
         params = list(params)
-        resolved_backend = resolve_backend(backend)
-        workers = (resolve_workers(num_workers)
-                   if resolved_backend == "threaded" else 1)
-        live_key = (key, resolved_backend, workers)
-        plan = self._plans.get(live_key)
+        plan = self._plans.get(key)
         if plan is not None and plan.matches(params):
             self.hits += 1
             if key in self._specs:
@@ -406,25 +373,23 @@ class PlanCache:
                 self._store_memory(key, spec)
         if spec is not None:
             try:
-                plan = build_inference_plan(spec, params, backend=backend,
-                                            num_workers=num_workers)
+                plan = build_inference_plan(spec, params)
             except PlanCacheError:
                 self.invalidations += 1
                 self._specs.pop(key, None)
-                self._drop_plans(key)
+                self._plans.pop(key, None)
             else:
                 self.spec_hits += 1
-                self._plans[live_key] = plan
+                self._plans[key] = plan
                 return plan
 
         self.misses += 1
         output, nodes, inputs = record()
         spec = build_inference_spec(key, output, nodes, inputs, params)
-        plan = InferencePlan(output, nodes, inputs, params=params,
-                             backend=backend, num_workers=num_workers)
+        plan = InferencePlan(output, nodes, inputs, params=params)
         self._store_memory(key, spec)
         self._store_disk(key, spec)
-        self._plans[live_key] = plan
+        self._plans[key] = plan
         return plan
 
     def stats(self) -> dict:
@@ -444,12 +409,10 @@ class PlanCache:
         serving process watches.  ``replays`` counts requests served by
         the resident program without any record or relower work."""
         rows = []
-        for (key, backend, workers), plan in self._plans.items():
+        for key, plan in self._plans.items():
             rows.append({
                 "key": hashlib.sha256(repr(key).encode()).hexdigest()[:12],
                 "shapes": [list(s) for s in key[3]] if len(key) > 3 else [],
-                "backend": backend,
-                "workers": workers,
                 "replays": plan.replays,
                 "forward_ops": plan.num_forward_ops,
                 "slot_bytes": plan.buffer_report()["slot_bytes"],

@@ -121,13 +121,6 @@ class EmbeddingService:
     compiled:
         Serve through cached :class:`InferencePlan` replays (default) or
         the eager tape (``False`` — the debugging escape hatch).
-    backend, num_workers:
-        Replay backend for the service's plans (defaults: the
-        ``REPRO_PLAN_BACKEND`` / ``REPRO_PLAN_WORKERS`` environment).
-        ``backend="threaded"`` replays batch-parallel-safe kernels
-        across a worker pool — bit-identical output, selected per plan
-        variant in the cache, and warm-startable from a serially
-        recorded spec with zero record epochs.
     plan_cache:
         Defaults to the process-wide cache
         (:func:`repro.nn.plancache.default_plan_cache`), which persists
@@ -159,8 +152,7 @@ class EmbeddingService:
     def __init__(self, model: HAFusion, *, n_max: int | None = None,
                  view_dims: Sequence[int] | None = None,
                  view_names: Sequence[str] | None = None,
-                 compiled: bool = True, backend: str | None = None,
-                 num_workers: int | None = None,
+                 compiled: bool = True,
                  plan_cache: PlanCache | None = None,
                  policy: FlushPolicy | None = None,
                  clock: Callable[[], float] | None = None,
@@ -173,8 +165,6 @@ class EmbeddingService:
                           else inferred_dims)
         self.view_names = tuple(view_names) if view_names is not None else None
         self.compiled = compiled
-        self.backend = backend
-        self.num_workers = num_workers
         self.plan_cache = (plan_cache if plan_cache is not None
                            else default_plan_cache())
         self.policy = policy if policy is not None else FlushPolicy()
@@ -242,9 +232,7 @@ class EmbeddingService:
             model.train(was_training)
             return output, nodes, slots
 
-        return self.plan_cache.get(key, params, record,
-                                   backend=self.backend,
-                                   num_workers=self.num_workers)
+        return self.plan_cache.get(key, params, record)
 
     def _plan_event(self, before: dict, after: dict) -> str:
         for field, event in (("misses", "record"), ("disk_hits", "disk"),
@@ -259,11 +247,12 @@ class EmbeddingService:
         compiled = self.compiled if compiled is None else compiled
         if not compiled:
             model = self.model
+            was_training = model.training
             model.eval()
             with no_grad():
                 h = model.forward([Tensor(m) for m in batch.matrices],
                                   mask=batch.forward_mask())
-            model.train()
+            model.train(was_training)
             return self._crop(h.data, batch), "eager"
         before = self.plan_cache.stats()
         plan = self._plan(batch.matrices, batch.forward_mask(), tag)
@@ -316,6 +305,7 @@ class EmbeddingService:
         mask = batch.forward_mask()
         if not compiled:
             model = self.model
+            was_training = model.training
             model.eval()
             outputs = []
             with no_grad():
@@ -324,7 +314,7 @@ class EmbeddingService:
                     item_mask = None if mask is None else mask[i:i + 1]
                     h = model.forward(inputs, mask=item_mask)
                     outputs.append(h.data[0, :batch.n_regions[i]].copy())
-            model.train()
+            model.train(was_training)
             return outputs
         outputs = []
         for i in range(batch.batch_size):
@@ -576,12 +566,10 @@ class EmbeddingService:
         regions = sum(s["regions"] for s in buckets.values())
         slots = sum(st.slots for st in self._bucket_stats.values())
         seconds = sum(s["seconds"] for s in buckets.values())
-        from ..nn.compile import resolve_backend
         return {
             "n_max": self.n_max,
             "view_dims": list(self.view_dims),
             "compiled": self.compiled,
-            "backend": resolve_backend(self.backend),
             "requests": self._submitted,
             "responses": self._answered,
             "pending": self.pending(),

@@ -236,6 +236,10 @@ class TestPlanCacheKeys:
         batched_embed(ragged, model=model_r, compiled=True, plan_cache=cache)
         assert cache.misses == 3
         assert cache.stats()["cached_specs"] == 1
+        # Eviction drops the evicted key's live plan with its spec.
+        (row,) = cache.resident_report()
+        assert row.keys() == {"key", "shapes", "replays", "forward_ops",
+                              "slot_bytes"}
 
 
 class TestDiskCache:

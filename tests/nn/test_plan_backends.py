@@ -1,40 +1,24 @@
-"""Lockdown for the PR 7 replay machinery: the folded optimizer (clip +
-Adam/SGD update as plan kernels) and the threaded batch-parallel replay
-backend.
+"""Lockdown for the replay machinery: the folded optimizer (clip +
+Adam/SGD update as plan kernels) and serial replay on the caller's
+thread.
 
-The contract under test is *bitwise*: folding the optimizer into the
-plan and partitioning batch-parallel-safe kernels across a worker pool
-must not change a single ULP relative to the serial unfused compiled
-path — the threaded slices compute the same elements with the same
-reduction orders, and the update kernels replicate
-:mod:`repro.nn.optim` expression for expression.  Every comparison here
-asserts exact array equality, not a tolerance.
-
-The partition builders skip kernels below
-``compile._PARTITION_MIN_ELEMENTS`` (splitting tiny arrays buys
-nothing); tests that need partitions on toy shapes lower the threshold
-via monkeypatch, while the shard tests run at batch shapes large enough
-to partition naturally.
+The folded-optimizer contract is *bitwise*: folding the optimizer into
+the plan must not change a single ULP relative to the unfused compiled
+path — the update kernels replicate :mod:`repro.nn.optim` expression for
+expression.  Every comparison here asserts exact array equality, not a
+tolerance.  Plans replay one kernel after another on the caller's thread
+(BLAS owns all parallelism), whatever the environment says.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
-import repro.nn.compile as compile_mod
-from repro.core import (
-    BatchedTrainer,
-    HAFusionConfig,
-    make_batch,
-    shard_viewset,
-)
-from repro.data import CityConfig, generate_city, load_city
-from repro.nn import Adam, CompiledStep, SGD, Tensor, clip_grad_norm
-from repro.nn.compile import (
-    RECORD_STATS,
-    resolve_backend,
-    resolve_lowering,
-    resolve_workers,
-)
+from repro.core import HAFusionConfig, make_batch
+from repro.data import CityConfig, generate_city
+from repro.nn import Adam, CompiledStep, SGD, PlanCache, clip_grad_norm
+from repro.nn.compile import resolve_backend, resolve_lowering, resolve_workers
 from repro.nn.optim import Optimizer
 
 
@@ -169,212 +153,45 @@ class TestFoldedOptimizer:
 
 
 # ----------------------------------------------------------------------
-# Threaded batch-parallel replay backend
+# One replay: serial, on the caller's thread
 # ----------------------------------------------------------------------
 
-class TestThreadedBackend:
-    def test_resolvers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLAN_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_PLAN_WORKERS", raising=False)
-        assert resolve_backend() == "serial"
-        assert resolve_backend("threaded") == "threaded"
-        monkeypatch.setenv("REPRO_PLAN_BACKEND", "threaded")
-        assert resolve_backend() == "threaded"
-        monkeypatch.setenv("REPRO_PLAN_WORKERS", "6")
-        assert resolve_workers() == 6
-        assert resolve_workers(2) == 2
-        with pytest.raises(ValueError, match="unknown plan backend"):
-            resolve_backend("fibers")
-        assert resolve_lowering() == "v2"
-        with pytest.raises(ValueError, match="unknown plan lowering"):
-            resolve_lowering("v1")
+def test_resolvers(monkeypatch):
+    # The retired backend variables are ignored, not honoured.
+    monkeypatch.setenv("REPRO_PLAN_BACKEND", "threaded")
+    monkeypatch.setenv("REPRO_PLAN_WORKERS", "6")
+    assert resolve_backend() == "serial"
+    assert resolve_workers() == 1
+    with pytest.raises(ValueError, match="unknown plan backend"):
+        resolve_backend("threaded")
+    assert resolve_lowering() == "v2"
+    with pytest.raises(ValueError, match="unknown plan lowering"):
+        resolve_lowering("v1")
 
-    def test_threaded_training_bitwise(self, city, tiny_config, monkeypatch):
-        # Toy shapes partition only with the size floor lowered; the
-        # nyc_360 shard test below exercises the natural threshold.
-        monkeypatch.setattr(compile_mod, "_PARTITION_MIN_ELEMENTS", 64)
-        epochs = 4
 
-        def train(backend, workers):
-            model, views = _build_model(city, tiny_config)
-            opt = Adam(model.parameters(), lr=tiny_config.lr)
-            step = CompiledStep(lambda: model.loss(views), optimizer=opt,
-                                grad_clip=tiny_config.grad_clip,
-                                backend=backend, num_workers=workers)
-            losses = [step.run() for _ in range(epochs)]
-            return model, losses, step.plan
+def test_plans_replay_on_the_callers_thread(city, tiny_config, monkeypatch):
+    """Training and inference plans start no thread, even with the retired
+    backend variables set."""
+    from repro.core.engine import build_batched_model
+    from repro.serving import EmbeddingService
 
-        m_s, losses_s, plan_s = train("serial", None)
-        m_t, losses_t, plan_t = train("threaded", 4)
-        assert plan_s.num_threaded_ops == 0
-        assert plan_t.num_threaded_ops > 0
-        assert plan_t.backend == "threaded" and plan_t.num_workers == 4
-        assert losses_t == losses_s
-        _assert_params_bitwise(m_t, m_s)
+    monkeypatch.setenv("REPRO_PLAN_BACKEND", "threaded")
+    monkeypatch.setenv("REPRO_PLAN_WORKERS", "4")
+    before = set(threading.enumerate())
 
-    def test_threaded_gradients_bitwise(self, city, tiny_config, monkeypatch):
-        # Leaf gradients after a replay — not just the loss — must match
-        # the serial backend exactly (store/accumulate slice protocol).
-        monkeypatch.setattr(compile_mod, "_PARTITION_MIN_ELEMENTS", 64)
-
-        def grads(backend, workers):
-            model, views = _build_model(city, tiny_config)
-            step = CompiledStep(lambda: model.loss(views),
-                                backend=backend, num_workers=workers)
-            step.run()
-            step.run()   # replay: the partitioned kernels, not the tape
-            return {id_: g.copy() for id_, g in
-                    ((i, t.grad) for i, t in
-                     enumerate(model.parameters()) if t.grad is not None)}
-
-        serial = grads("serial", None)
-        threaded = grads("threaded", 4)
-        assert serial.keys() == threaded.keys()
-        for key in serial:
-            assert (serial[key] == threaded[key]).all()
-
-    def test_profile_times_threaded_slices(self, city, tiny_config,
-                                           monkeypatch):
-        """profile() times what a threaded replay executes: every
-        partitioned kernel runs as pool.run(slices), on the training
-        plan and the inference plan alike."""
-        from repro.nn import no_grad, record_forward
-        from repro.nn.compile import InferencePlan
-
-        monkeypatch.setattr(compile_mod, "_PARTITION_MIN_ELEMENTS", 64)
-        model, views = _build_model(city, tiny_config)
-        step = CompiledStep(lambda: model.loss(views), backend="threaded",
-                            num_workers=4)
+    model, views = _build_model(city, tiny_config)
+    opt = Adam(model.parameters(), lr=tiny_config.lr)
+    step = CompiledStep(lambda: model.loss(views), optimizer=opt,
+                        grad_clip=tiny_config.grad_clip)
+    for _ in range(3):
         step.run()
-        model.eval()
-        slots = [Tensor(np.array(m)) for m in views.matrices]
-        with no_grad():
-            output, nodes = record_forward(lambda: model.forward(slots))
-        model.train()
-        infer = InferencePlan(output, nodes, slots,
-                              params=model.parameters(),
-                              backend="threaded", num_workers=4)
+    batch = make_batch([views])
+    service = EmbeddingService(build_batched_model(batch, tiny_config, seed=7),
+                               plan_cache=PlanCache())
+    service.embed_batch(batch)
 
-        calls = []
-
-        class SpyPool:
-            def __init__(self, pool):
-                self._pool = pool
-
-            def run(self, thunks):
-                calls.append(len(thunks))
-                self._pool.run(thunks)
-
-        for plan, replay in ((step.plan, step.plan.replay),
-                             (infer, lambda: infer.run(views.matrices))):
-            assert plan.num_threaded_ops > 0
-            monkeypatch.setattr(plan, "_worker_pool",
-                                SpyPool(plan._worker_pool))
-            calls.clear()
-            replay()
-            assert len(calls) == plan.num_threaded_ops
-            calls.clear()
-            plan.profile(replays=2)
-            assert len(calls) == 2 * plan.num_threaded_ops
-
-
-class TestThreadedNycShards:
-    """Golden/parity lockdown at real batch shapes: nyc_360 region shards
-    through the batched trainer and the serving facade, threaded vs
-    serial, partitioned at the natural size threshold."""
-
-    @pytest.fixture(scope="class")
-    def shard_batch(self):
-        city = load_city("nyc_360", seed=7)
-        return make_batch(shard_viewset(city.views(), 4))
-
-    @pytest.fixture(scope="class")
-    def shard_config(self):
-        return HAFusionConfig(d=16, d_prime=8, conv_channels=4,
-                              memory_size=6, num_heads=2, intra_layers=1,
-                              inter_layers=1, fusion_layers=1, epochs=3,
-                              dropout=0.1, lr=5e-4)
-
-    def test_trainer_golden_bitwise(self, shard_batch, shard_config,
-                                    monkeypatch):
-        def train(backend):
-            if backend is not None:
-                monkeypatch.setenv("REPRO_PLAN_BACKEND", backend)
-                monkeypatch.setenv("REPRO_PLAN_WORKERS", "4")
-            else:
-                monkeypatch.delenv("REPRO_PLAN_BACKEND", raising=False)
-                monkeypatch.delenv("REPRO_PLAN_WORKERS", raising=False)
-            trainer = BatchedTrainer(shard_batch, shard_config, seed=7,
-                                     compiled=True)
-            history = trainer.train(epochs=3)
-            return trainer, history
-
-        trainer_s, hist_s = train(None)
-        trainer_t, hist_t = train("threaded")
-        plan = trainer_t._compiled_step.plan
-        assert plan.backend == "threaded"
-        assert plan.num_threaded_ops > 0, (
-            "no kernels partitioned at nyc_360 shard shapes")
-        assert hist_t.losses == hist_s.losses
-        _assert_params_bitwise(trainer_t.model, trainer_s.model)
-        for e_s, e_t in zip(trainer_s.embed(), trainer_t.embed()):
-            assert (e_s == e_t).all()
-
-    def test_serving_parity(self, shard_batch, shard_config):
-        from repro.core.engine import build_batched_model
-        from repro.nn.plancache import PlanCache
-        from repro.serving import EmbeddingService
-
-        model = build_batched_model(shard_batch, shard_config, seed=7)
-        cache = PlanCache()
-        serial = EmbeddingService(
-            model, n_max=shard_batch.n_max,
-            view_dims=shard_batch.view_dims,
-            view_names=shard_batch.view_names, plan_cache=cache)
-        threaded = EmbeddingService(
-            model, n_max=shard_batch.n_max,
-            view_dims=shard_batch.view_dims,
-            view_names=shard_batch.view_names, plan_cache=cache,
-            backend="threaded", num_workers=4)
-        out_s = serial.embed_batch(shard_batch)
-        out_t = threaded.embed_batch(shard_batch)
-        plan = threaded.plan_for(shard_batch)
-        assert plan.backend == "threaded" and plan.num_threaded_ops > 0
-        for a, b in zip(out_s, out_t):
-            # The acceptance bound is ≤1e-8; the implementation actually
-            # delivers bitwise identity.
-            assert (a == b).all()
-
-    def test_threaded_plan_from_cached_spec_zero_records(
-            self, shard_batch, shard_config, tmp_path):
-        """A threaded plan warm-starts from a *serially* recorded spec:
-        one record epoch total, never one per backend."""
-        from repro.core.engine import build_batched_model
-        from repro.nn.plancache import PlanCache
-        from repro.serving import EmbeddingService
-
-        model = build_batched_model(shard_batch, shard_config, seed=7)
-        common = dict(n_max=shard_batch.n_max,
-                      view_dims=shard_batch.view_dims,
-                      view_names=shard_batch.view_names)
-        cache_a = PlanCache(directory=tmp_path)
-        out_s = EmbeddingService(model, plan_cache=cache_a,
-                                 **common).embed_batch(shard_batch)
-        assert cache_a.stats()["misses"] == 1
-
-        # "Restarted process": a fresh cache sees only the disk spec.
-        cache_b = PlanCache(directory=tmp_path)
-        threaded = EmbeddingService(model, plan_cache=cache_b,
-                                    backend="threaded", num_workers=4,
-                                    **common)
-        before = RECORD_STATS.inference_records
-        out_t = threaded.embed_batch(shard_batch)
-        assert RECORD_STATS.inference_records == before
-        stats = cache_b.stats()
-        assert stats["misses"] == 0
-        assert stats["disk_hits"] == 1 and stats["spec_hits"] == 1
-        for a, b in zip(out_s, out_t):
-            assert (a == b).all()
-        report = cache_b.resident_report()
-        assert report[0]["backend"] == "threaded"
-        assert report[0]["workers"] == 4
+    after = set(threading.enumerate())
+    assert after - before == set()
+    assert not [t.name for t in after
+                if t.name.startswith("repro-plan-worker")]
+    assert step.plan.num_threaded_ops == 0

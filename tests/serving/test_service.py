@@ -68,6 +68,20 @@ class TestRoundTripParity:
         for a, b in zip(compiled.embed_batch(batch), eager.embed_batch(batch)):
             assert np.abs(a - b).max() <= 1e-8
 
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_eager_path_keeps_the_models_mode(self, ragged_cities, training):
+        """An eager embed_batch or embed_each leaves the model in the mode
+        it found it in, as the compiled path does: an eval-mode model
+        must not come back with dropout switched on."""
+        service = EmbeddingService.build(ragged_cities, HAFusionConfig(**TINY),
+                                         seed=11, compiled=False)
+        service.model.train(training)
+        batch = make_batch(ragged_cities)
+        service.embed_batch(batch)
+        assert service.model.training is training
+        service.embed_each(batch)
+        assert service.model.training is training
+
 
 class TestShims:
     def test_shim_signatures_identical(self):

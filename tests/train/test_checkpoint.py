@@ -1,13 +1,13 @@
 """Crash-safe resumable training: the bit-identical resume gate.
 
 The acceptance criterion of the checkpoint subsystem: for eager and
-compiled (serial + threaded backend) training alike, kill the run at
-epoch k, resume from disk, and the final parameters and embeddings must
-match an uninterrupted run **exactly** (``max|Δ| = 0``) — plus the
-failure-mode matrix around it: crash mid-epoch, crash mid-checkpoint-
-write (atomicity), corrupted newest checkpoint (fallback), SIGTERM
-preemption, and non-finite numerics.  Every crash is scripted by the
-deterministic :class:`repro.train.TrainFaultPlan`, not a racing shell.
+compiled training alike, kill the run at epoch k, resume from disk, and
+the final parameters and embeddings must match an uninterrupted run
+**exactly** (``max|Δ| = 0``) — plus the failure-mode matrix around it:
+crash mid-epoch, crash mid-checkpoint-write (atomicity), corrupted
+newest checkpoint (fallback), SIGTERM preemption, and non-finite
+numerics.  Every crash is scripted by the deterministic
+:class:`repro.train.TrainFaultPlan`, not a racing shell.
 """
 
 import os
@@ -192,22 +192,12 @@ class TestCheckpointStore:
 
 
 # ======================================================================
-# The bit-identical resume gate (eager, compiled serial, compiled
-# threaded) — ISSUE 9's acceptance criterion
+# The bit-identical resume gate (eager and compiled)
 # ======================================================================
 
-MODES = [
-    pytest.param(False, None, id="eager"),
-    pytest.param(True, "serial", id="compiled-serial"),
-    pytest.param(True, "threaded", id="compiled-threaded"),
-]
-
-
-@pytest.mark.parametrize("compiled,backend", MODES)
-def test_crash_resume_is_bit_identical(city, config, tmp_path, monkeypatch,
-                                       compiled, backend):
-    if backend is not None:
-        monkeypatch.setenv("REPRO_PLAN_BACKEND", backend)
+@pytest.mark.parametrize("compiled", [False, True],
+                         ids=["eager", "compiled"])
+def test_crash_resume_is_bit_identical(city, config, tmp_path, compiled):
     ref_embeddings, ref_history = _reference(city, config, compiled)
 
     plan = TrainFaultPlan().fail(epoch=5, when="before_step")
