@@ -135,8 +135,14 @@ def l1_normalize(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
-    """Normalize rows to unit Euclidean norm."""
-    denom = ((x * x).sum(axis=axis, keepdims=True) + _EPS) ** 0.5
+    """Normalize rows to unit Euclidean norm.
+
+    ``_EPS`` floors the norm, as in :func:`cosine_similarity_matrix`, so
+    it enters squared under the root: a row of norm 1e-4 comes out
+    unit-norm (normalizing twice changes nothing), while an all-zero row
+    stays zero (no 0/0).
+    """
+    denom = ((x * x).sum(axis=axis, keepdims=True) + _EPS * _EPS) ** 0.5
     return x / denom
 
 

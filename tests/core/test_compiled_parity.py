@@ -16,6 +16,7 @@ import pytest
 from repro.core import (
     BatchedTrainer,
     HAFusionConfig,
+    compiled_speedup_report,
     train_hafusion,
 )
 from repro.data import CityConfig, generate_city
@@ -262,6 +263,28 @@ class TestBatchedTrainerCompiled:
         h_c = compiled.train(epochs=4)
         np.testing.assert_allclose(h_c.losses, h_e.losses, rtol=0.0,
                                    atol=ATOL64 * abs(h_e.losses[0]))
+
+
+def test_compiled_speedup_report_fields_and_parity(city, tiny_config):
+    """The benchmark's compiled-step payload on a small city: the twin
+    trajectories agree and the report carries exactly its documented
+    fields (replay is serial, so no backend or threaded-kernel count)."""
+    with pytest.raises(ValueError, match="epochs must be >= 2"):
+        compiled_speedup_report(city, tiny_config, epochs=1)
+    report = compiled_speedup_report(city, tiny_config, seed=7, epochs=3)
+    assert report.keys() == {
+        "grad_buffer_bytes", "grad_buffer_bytes_unpooled",
+        "grad_buffer_reduction", "city", "n_regions", "epochs",
+        "plan_forward_ops", "plan_backward_ops", "record_seconds",
+        "eager_seconds_per_epoch", "compiled_seconds_per_epoch", "speedup",
+        "max_loss_diff", "final_embedding_max_abs_diff", "top_kernels"}
+    assert report["city"] == city.name
+    assert report["n_regions"] == city.n_regions and report["epochs"] == 3
+    assert report["final_embedding_max_abs_diff"] <= ATOL64
+    assert report["max_loss_diff"] <= 1e-6
+    assert report["plan_forward_ops"] > 0 and report["plan_backward_ops"] > 0
+    assert 0.0 < report["grad_buffer_reduction"] < 1.0
+    assert len(report["top_kernels"]) == 5
 
 
 class TestFallback:

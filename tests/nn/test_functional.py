@@ -49,6 +49,15 @@ class TestNormalization:
         out = F.l2_normalize(x)
         assert np.allclose(np.linalg.norm(out.data, axis=-1), 1.0, atol=1e-5)
 
+    def test_l2_small_rows_unit_norm(self):
+        # Small but nonzero rows are scaled to unit norm, not shrunk by
+        # the eps floor; an all-zero row stays zero.
+        x = Tensor([[6.103515625e-05] * 3, [1e-4, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        out = F.l2_normalize(x).data
+        assert np.allclose(np.linalg.norm(out[:2], axis=-1), 1.0,
+                           rtol=0.0, atol=1e-12)
+        assert (out[2] == 0.0).all()
+
     def test_l2_gradient(self, rng):
         x = _t(rng, 3, 4)
         weights = rng.standard_normal((3, 4))

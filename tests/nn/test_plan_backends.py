@@ -17,9 +17,23 @@ import pytest
 
 from repro.core import HAFusionConfig, make_batch
 from repro.data import CityConfig, generate_city
-from repro.nn import Adam, CompiledStep, SGD, PlanCache, clip_grad_norm
+from repro.nn import (
+    Adam,
+    CompiledStep,
+    InferencePlan,
+    Plan,
+    SGD,
+    PlanCache,
+    Tensor,
+    clip_grad_norm,
+    compile_step,
+    no_grad,
+    record_forward,
+)
 from repro.nn.compile import resolve_backend, resolve_lowering, resolve_workers
 from repro.nn.optim import Optimizer
+from repro.nn.plancache import build_inference_plan
+from repro.serving import EmbeddingService
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +187,6 @@ def test_plans_replay_on_the_callers_thread(city, tiny_config, monkeypatch):
     """Training and inference plans start no thread, even with the retired
     backend variables set."""
     from repro.core.engine import build_batched_model
-    from repro.serving import EmbeddingService
 
     monkeypatch.setenv("REPRO_PLAN_BACKEND", "threaded")
     monkeypatch.setenv("REPRO_PLAN_WORKERS", "4")
@@ -195,3 +208,76 @@ def test_plans_replay_on_the_callers_thread(city, tiny_config, monkeypatch):
     assert not [t.name for t in after
                 if t.name.startswith("repro-plan-worker")]
     assert step.plan.num_threaded_ops == 0
+
+
+#: Every entry point that used to take ``backend=``/``num_workers=``,
+#: called with placeholder arguments: binding the retired keyword fails
+#: before any argument is looked at.
+_FORMER_BACKEND_ENTRY_POINTS = {
+    "Plan": lambda **kw: Plan(None, [], **kw),
+    "InferencePlan": lambda **kw: InferencePlan(None, [], [], **kw),
+    "CompiledStep": lambda **kw: CompiledStep(lambda: None, **kw),
+    "compile_step": lambda **kw: compile_step(lambda: None, **kw),
+    "build_inference_plan": lambda **kw: build_inference_plan(None, [], **kw),
+    "PlanCache.get": lambda **kw: PlanCache().get(None, [], None, **kw),
+    "EmbeddingService": lambda **kw: EmbeddingService(None, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FORMER_BACKEND_ENTRY_POINTS))
+def test_backend_parameters_are_rejected(name):
+    """A caller still asking for a threaded replay gets a TypeError, not
+    a silent serial replay."""
+    entry_point = _FORMER_BACKEND_ENTRY_POINTS[name]
+    with pytest.raises(TypeError, match="'backend'"):
+        entry_point(backend="threaded")
+    with pytest.raises(TypeError, match="'num_workers'"):
+        entry_point(num_workers=4)
+
+
+@pytest.mark.parametrize("kind", ["training", "inference"])
+def test_kernel_error_surfaces_from_the_replay_that_raised(city, tiny_config,
+                                                           kind):
+    """A kernel that raises fails the replay that ran it, with nothing
+    left running behind it, and the plan's next replay is bitwise the
+    same as before the failure."""
+    config = HAFusionConfig(**{**tiny_config.__dict__, "dropout": 0.0})
+    model, views = _build_model(city, config)
+    if kind == "training":
+        step = CompiledStep(lambda: model.loss(views))
+        step.run()
+        plan, ops = step.plan, step.plan._backward_ops
+
+        def replay():
+            loss = plan.replay()
+            return [loss] + [p.grad.copy() for p in model.parameters()
+                             if p.grad is not None]
+    else:
+        model.eval()
+        slots = [Tensor(np.array(m)) for m in views.matrices]
+        with no_grad():
+            output, nodes = record_forward(lambda: model.forward(slots))
+        plan = InferencePlan(output, nodes, slots,
+                             params=model.parameters())
+        ops = plan._forward_ops
+
+        def replay():
+            return [plan.run(views.matrices).copy()]
+
+    reference = replay()
+    before = set(threading.enumerate())
+    k = len(ops) // 2
+    kernel = ops[k]
+
+    def failing():
+        raise RuntimeError("kernel fault")
+
+    ops[k] = failing
+    with pytest.raises(RuntimeError, match="kernel fault"):
+        replay()
+    assert set(threading.enumerate()) - before == set()
+    ops[k] = kernel
+    again = replay()
+    assert len(again) == len(reference)
+    for a, b in zip(again, reference):
+        assert np.array_equal(a, b)

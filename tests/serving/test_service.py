@@ -247,6 +247,7 @@ class TestRequestFeatures:
             assert bucket["requests"] >= 1
             assert sum(bucket["plan_events"].values()) == bucket["batches"]
         assert stats["plan_cache"]["misses"] >= 1
+        assert "backend" not in stats
         replays = [row["replays"] for row in stats["resident_plans"]]
         assert replays == sorted(replays, reverse=True)
 
