@@ -145,11 +145,11 @@ class TestCompiledStepBenchmarks:
 
 class TestServingBenchmarks:
     def test_serving_speedup_nyc360(self, benchmark):
-        """Eager vs compiled ``batched_embed`` at paper scale (nyc_360,
-        n=360, fig7 conv_channels): one warm model answering repeated
-        embed requests.  The compiled side replays a forward-only
-        :class:`~repro.nn.compile.InferencePlan` (the record epoch is
-        excluded, exactly as a warm server runs).
+        """Eager vs compiled ``EmbeddingService.embed_batch`` at paper
+        scale (nyc_360, n=360, fig7 conv_channels): one warm model
+        answering repeated embed requests.  The compiled side replays a
+        forward-only :class:`~repro.nn.compile.InferencePlan` (the
+        record epoch is excluded, exactly as a warm server runs).
 
         Gates: ≥2x regions/sec over the eager tape
         (``REPRO_SERVING_SPEEDUP_GATE`` relaxes it on shared runners),

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core import HAFusionConfig, train_hafusion
 from repro.data import load_city
-from repro.train import InjectedTrainFault, TrainFaultPlan
+from repro.faults import FaultPlan, InjectedFault
 
 
 def main() -> None:
@@ -49,12 +49,12 @@ def main() -> None:
     reference_embeddings = reference_model.embed(city.views())
 
     print("== training with checkpoints, crashing at epoch 25 ==")
-    crash = TrainFaultPlan().fail(epoch=25, when="before_step")
+    crash = FaultPlan().fail("before_step", epoch=25)
     try:
         train_hafusion(city, config, seed=7, compiled=True,
                        checkpoint_dir=checkpoint_dir, checkpoint_every=10,
                        fault_plan=crash)
-    except InjectedTrainFault as exc:
+    except InjectedFault as exc:
         print(f"crashed as scripted: {exc}")
 
     print("== resuming from disk ==")

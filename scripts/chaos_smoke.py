@@ -51,11 +51,11 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.core import HAFusionConfig, shard_viewset  # noqa: E402
 from repro.data import load_city  # noqa: E402
+from repro.faults import FaultPlan  # noqa: E402
 from repro.nn import PlanCache  # noqa: E402
 from repro.serving import (  # noqa: E402
     EmbedRequest,
     EmbeddingService,
-    FaultPlan,
     FlushPolicy,
     FrontendThread,
     ServingFleet,
@@ -128,7 +128,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"[build] pack at {args.pack_dir}, "
           f"{len(reference)} reference responses")
 
-    plan = FaultPlan().delay(_DELAY_SECONDS, batch_id=_VICTIM_BATCH)
+    plan = FaultPlan().delay("before_batch", _DELAY_SECONDS,
+                             batch_id=_VICTIM_BATCH)
     fleet = ServingFleet(smoke_service, n_workers=args.workers,
                          pack_dir=args.pack_dir, fault_plan=plan)
     frontend = ServingFrontend(

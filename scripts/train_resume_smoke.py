@@ -48,7 +48,8 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.core import HAFusionConfig, train_hafusion  # noqa: E402
 from repro.data import CityConfig, generate_city  # noqa: E402
-from repro.train import CheckpointStore, TrainFaultPlan  # noqa: E402
+from repro.faults import FaultPlan  # noqa: E402
+from repro.train import CheckpointStore  # noqa: E402
 
 _SEED = 7
 _CITY = dict(name="resume-smoke", n_regions=24, total_trips=8000,
@@ -74,8 +75,7 @@ def train_child(directory: Path) -> None:
     """Child-process body: train with checkpoints, stalling at
     STALL_EPOCH so the parent's kill lands mid-training."""
     city, config = _build()
-    plan = TrainFaultPlan().delay(STALL_SECONDS, epoch=STALL_EPOCH,
-                                  when="before_step")
+    plan = FaultPlan().delay("before_step", STALL_SECONDS, epoch=STALL_EPOCH)
     train_hafusion(city, config, seed=_SEED, compiled=True,
                    checkpoint_dir=directory,
                    checkpoint_every=CHECKPOINT_EVERY, fault_plan=plan)

@@ -19,7 +19,9 @@ Public API overview
   warm-up packs.
 - :mod:`repro.train` — crash-safe training: atomic checksummed
   checkpoints with bit-identical resume, typed preemption/numerical
-  errors, and a deterministic training fault-injection harness.
+  errors.
+- :mod:`repro.faults` — deterministic fault injection (kill, preempt,
+  delay, fail) for the serving fleet and the training loop.
 
 Quickstart
 ----------

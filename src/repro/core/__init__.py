@@ -12,23 +12,22 @@ Modules map one-to-one onto the paper's architecture (Fig. 2):
   its full-batch Adam trainer;
 - :mod:`repro.core.engine` — batched multi-city execution: one
   vectorized ``(b, n, d)`` pass over a padded+masked stack of cities (or
-  region shards of one large city) via :func:`batched_embed` /
-  :class:`BatchedTrainer`, parity-locked against the per-city loop.
+  region shards of one large city) built by :func:`make_batch`, trained
+  by :class:`BatchedTrainer` and embedded by
+  :class:`repro.serving.EmbeddingService`, parity-locked against the
+  per-city loop.
 """
 
 from .config import HAFusionConfig
 from .dafusion import ConcatFusion, DAFusion, SumFusion, build_fusion
 from .engine import (
-    BatchedEmbedResult,
     BatchedTrainer,
     CityBatch,
-    batched_embed,
     build_batched_model,
     compiled_speedup_report,
     engine_speedup_report,
     serving_speedup_report,
     make_batch,
-    sequential_embed,
     shard_viewset,
 )
 from .halearning import HALearning
@@ -83,10 +82,7 @@ __all__ = [
     "make_batch",
     "shard_viewset",
     "build_batched_model",
-    "BatchedEmbedResult",
     "BatchedTrainer",
-    "batched_embed",
-    "sequential_embed",
     "engine_speedup_report",
     "compiled_speedup_report",
     "serving_speedup_report",

@@ -8,19 +8,16 @@ Python-level loop. This module packages that capability:
 - :func:`make_batch` pads ragged region counts / view widths with zeros
   and builds the keep mask that excludes padding from every attention
   softmax and loss term;
-- :func:`batched_embed` / :func:`sequential_embed` run inference for a
-  city batch through one ``(b, n, d)`` forward pass vs. a per-city loop
-  over the identical model — the two produce embeddings equal to within
-  numerical round-off (locked to ≤1e-8 in ``tests/core/test_batched_parity.py``).
-  Both are **deprecated shims** over
-  :class:`repro.serving.EmbeddingService` — the unified serving facade
-  that adds request scheduling, warm-up packs and provenance on the
-  same code path.  With ``compiled=True`` they serve through a
-  forward-only :class:`~repro.nn.compile.InferencePlan` fetched from a
-  :class:`~repro.nn.plancache.PlanCache` — record once (or relower a
-  cached spec), then replay flat numpy kernels over pooled buffers for
-  every same-shaped request (:func:`serving_speedup_report` measures
-  ≈2.9x regions/sec over the eager tape on nyc_360);
+- :func:`build_batched_model` sizes one shared-weight model for a
+  padded batch.  Inference over a batch is
+  :class:`repro.serving.EmbeddingService`'s job: ``embed_batch`` runs
+  one ``(b, n, d)`` forward pass and ``embed_each`` the per-city loop
+  over the identical model, equal to within numerical round-off
+  (locked to ≤1e-8 in ``tests/core/test_batched_parity.py``), either
+  eagerly or by replaying a forward-only
+  :class:`~repro.nn.compile.InferencePlan` from a
+  :class:`~repro.nn.plancache.PlanCache` (:func:`serving_speedup_report`
+  measures ≈2.9x regions/sec over the eager tape on nyc_360);
 - :class:`BatchedTrainer` trains one shared-weight model on a city batch
   under the paper's multi-task objective, averaged over cities;
 - :func:`shard_viewset` splits one large city into region shards so its
@@ -52,7 +49,7 @@ import numpy as np
 from ..data.city import SyntheticCity
 from ..data.features import ViewSet
 from ..nn import Adam, CompiledStep, Tensor
-from ..nn.plancache import PlanCache, default_plan_cache
+from ..nn.plancache import PlanCache
 from .config import HAFusionConfig
 from .losses import (
     batched_feature_similarity_loss,
@@ -74,9 +71,6 @@ __all__ = [
     "make_batch",
     "shard_viewset",
     "build_batched_model",
-    "BatchedEmbedResult",
-    "batched_embed",
-    "sequential_embed",
     "BatchedTrainer",
     "engine_speedup_report",
     "compiled_speedup_report",
@@ -230,116 +224,6 @@ def build_batched_model(batch: CityBatch, config: HAFusionConfig | None = None,
     return HAFusion(batch.view_dims, batch.n_max, config,
                     mobility_view=mobility_view,
                     rng=np.random.default_rng(seed))
-
-
-@dataclass
-class BatchedEmbedResult:
-    """Per-city embeddings plus timing for one engine inference pass."""
-
-    embeddings: list[np.ndarray]
-    seconds: float
-    batch_size: int
-    n_max: int
-
-
-@dataclass(frozen=True)
-class _EmbedOptions:
-    """The one shared option set of :func:`batched_embed` and
-    :func:`sequential_embed` — both shims build it positionally from an
-    identical signature, so the two can never drift apart again (locked
-    by ``tests/serving/test_service.py::test_shim_signatures_identical``).
-    """
-
-    config: HAFusionConfig | None = None
-    seed: int = 0
-    model: HAFusion | None = None
-    compiled: bool = False
-    plan_cache: PlanCache | None = None
-
-    def service(self, batch: CityBatch):
-        """The :class:`~repro.serving.EmbeddingService` serving these
-        options (building the shared model when none was given)."""
-        from ..serving import EmbeddingService
-        model = (self.model if self.model is not None
-                 else build_batched_model(batch, self.config, self.seed))
-        cache = (self.plan_cache if self.plan_cache is not None
-                 else default_plan_cache())
-        return EmbeddingService(model, n_max=batch.n_max,
-                                view_dims=batch.view_dims,
-                                compiled=self.compiled, plan_cache=cache)
-
-
-def _embed_via_service(cities: "Sequence[CityLike] | CityBatch",
-                       options: _EmbedOptions,
-                       sequential: bool) -> BatchedEmbedResult:
-    batch = _as_batch(cities)
-    service = options.service(batch)
-    start = time.perf_counter()
-    embeddings = (service.embed_each(batch) if sequential
-                  else service.embed_batch(batch))
-    return BatchedEmbedResult(embeddings, time.perf_counter() - start,
-                              batch.batch_size, batch.n_max)
-
-
-def _serving_plan(model: HAFusion, matrices: list[np.ndarray],
-                  mask: np.ndarray | None, cache: PlanCache, tag: str):
-    """Back-compat alias: fetch (or record) the forward-only plan for one
-    request shape through a throwaway service (the logic lives in
-    :meth:`repro.serving.EmbeddingService._plan` now)."""
-    from ..serving import EmbeddingService
-    return EmbeddingService(model, plan_cache=cache)._plan(matrices, mask, tag)
-
-
-def batched_embed(cities: "Sequence[CityLike] | CityBatch",
-                  config: HAFusionConfig | None = None, seed: int = 0,
-                  model: HAFusion | None = None, compiled: bool = False,
-                  plan_cache: PlanCache | None = None) -> BatchedEmbedResult:
-    """Embed a batch of cities in one vectorized forward pass.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.serving.EmbeddingService.embed_batch`
-        — the unified serving path every embed request flows through.
-        New code should construct an :class:`~repro.serving.EmbeddingService`
-        (which adds request scheduling, warm-up packs and provenance).
-
-    ``cities`` may be raw cities/view sets or a prebuilt :class:`CityBatch`.
-    Builds (or reuses) one shared-weight model over the padded batch and
-    runs inference under ``no_grad``; results are cropped back to each
-    city's real region count.
-
-    ``compiled=True`` serves through a forward-only
-    :class:`~repro.nn.compile.InferencePlan`: the first request for a
-    (config, shapes, dtype, mask) signature records the pass once (or
-    relowers a cached spec — see :mod:`repro.nn.plancache`), every later
-    request replays flat numpy kernels over pooled buffers.
-    ``plan_cache`` defaults to the process-wide cache
-    (``REPRO_PLAN_CACHE_DIR`` enables on-disk persistence).
-    """
-    return _embed_via_service(
-        cities, _EmbedOptions(config, seed, model, compiled, plan_cache),
-        sequential=False)
-
-
-def sequential_embed(cities: "Sequence[CityLike] | CityBatch",
-                     config: HAFusionConfig | None = None, seed: int = 0,
-                     model: HAFusion | None = None, compiled: bool = False,
-                     plan_cache: PlanCache | None = None) -> BatchedEmbedResult:
-    """Reference per-city loop over the identical shared model.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.serving.EmbeddingService.embed_each`
-        (see :func:`batched_embed`); kept as the parity/baseline twin.
-
-    Same padding, same mask, same weights — just one city at a time.
-    ``compiled=True`` replays a per-item-shape inference plan instead of
-    the eager tape; unpadded batches share one plan across cities, while
-    a ragged batch holds one plan per distinct mask pattern — for very
-    wide ragged batches pass a ``plan_cache`` whose capacity exceeds the
-    number of distinct masks, or the LRU re-records on every pass.
-    """
-    return _embed_via_service(
-        cities, _EmbedOptions(config, seed, model, compiled, plan_cache),
-        sequential=True)
 
 
 class BatchedTrainer:
@@ -594,7 +478,8 @@ def serving_speedup_report(cities: "Sequence[CityLike] | CityBatch",
                            config: HAFusionConfig | None = None,
                            seed: int = 7, repeats: int = 5,
                            plan_cache: PlanCache | None = None) -> dict:
-    """Time eager vs compiled ``batched_embed`` over one shared model.
+    """Time eager vs compiled ``EmbeddingService.embed_batch`` over one
+    shared model.
 
     The serving scenario of the ROADMAP north star: a fixed model answers
     repeated embed requests of one shape.  The eager side rebuilds the

@@ -116,10 +116,8 @@ class HAFusion(Module):
         return total
 
     def embed(self, views: ViewSet) -> np.ndarray:
-        """Inference: frozen embeddings for downstream tasks."""
-        self.eval()
-        with no_grad():
-            inputs = [Tensor(m) for m in views.matrices]
-            h = self.forward(inputs)
-        self.train()
+        """Inference: frozen embeddings for downstream tasks (the
+        model's train/eval mode is left as it was)."""
+        with self.evaluating(), no_grad():
+            h = self.forward([Tensor(m) for m in views.matrices])
         return h.data.copy()

@@ -138,9 +138,10 @@ def run_training_loop(step, epochs: int, log_every: int = 0, *,
         plus one on preemption or numerical abort; fills
         ``history.resume_report`` on exit.
     fault_plan:
-        A :class:`~repro.train.faults.TrainFaultPlan` fired at the
-        ``before_step`` / ``after_step`` points of each epoch (the
-        ``mid_checkpoint`` point fires inside the checkpoint writer).
+        A :class:`~repro.faults.FaultPlan` fired at the ``before_step`` /
+        ``after_step`` points of each epoch (the ``mid_checkpoint``
+        point fires inside the checkpointer's writes, so it is rejected
+        when there is no checkpointer).
     named_parameters:
         ``(name, Parameter)`` pairs whose gradients the numerical guard
         scans after each step; ``None`` guards the loss value only.
@@ -153,6 +154,11 @@ def run_training_loop(step, epochs: int, log_every: int = 0, *,
         :class:`~repro.train.checkpoint.TrainingPreempted` (main thread
         only; worker threads never install handlers).
     """
+    if fault_plan is not None:
+        fault_plan.check_fire_points(
+            ("before_step", "after_step")
+            + (("mid_checkpoint",) if checkpointer is not None else ()),
+            "the training loop")
     history = history if history is not None else TrainingHistory()
     base_seconds = history.seconds
     start = time.perf_counter()
@@ -163,7 +169,7 @@ def run_training_loop(step, epochs: int, log_every: int = 0, *,
 
     def _fire(epoch: int, when: str) -> None:
         if fault_plan is not None:
-            fault_plan.apply(epoch, attempt, when)
+            fault_plan.apply(when, epoch=epoch, attempt=attempt)
 
     preempt_signals: list[int] = []
     installed: list[tuple[int, object]] = []
@@ -257,8 +263,8 @@ def train_model(model: HAFusion, views: ViewSet,
         epoch executes as a plan *replay* exactly like it would have in
         the uninterrupted run.
     fault_plan:
-        Deterministic :class:`~repro.train.faults.TrainFaultPlan` (tests
-        and chaos smoke only).
+        Deterministic :class:`~repro.faults.FaultPlan` (tests and the
+        train-resume smoke only).
     """
     config = model.config
     epochs = epochs if epochs is not None else config.epochs

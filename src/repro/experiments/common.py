@@ -163,14 +163,12 @@ def compute_embeddings(model_name: str, city: SyntheticCity,
     Checkpoints land in a per-run sub-directory keyed like the embedding
     cache, so different models/cities/profiles never share checkpoints.
 
-    .. deprecated::
-        The embedding production at the end is a thin shim over
-        :class:`repro.serving.EmbeddingService` — the trained model
-        answers one :class:`~repro.serving.EmbedRequest` through the
-        unified serving path (compiled plan replay when training ran
-        compiled), so every experiment exercises the same code as
-        production serving.  The serving route is part of the cache key
-        (``embed: service``).
+    HAFusion's embeddings come from one
+    :class:`~repro.serving.EmbedRequest` to an
+    :class:`~repro.serving.EmbeddingService` over the trained model
+    (compiled plan replay when training ran compiled), so every
+    experiment exercises the same code as production serving; that
+    route is part of the cache key (``embed: service``).
     """
     profile = get_profile(profile)
     is_hafusion = model_name == "hafusion"

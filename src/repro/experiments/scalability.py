@@ -13,13 +13,14 @@ affects absolute accuracy mildly and preserves the runtime-growth shape.
 
 The payload also carries an ``engine`` section: the largest city in the
 sweep is split into region shards and embedded through
-:func:`repro.core.engine.batched_embed` (one fused ``(b, n, d)`` tensor
-pass) vs. the per-shard Python loop over the identical model, recording
-the wall-clock speedup and the max absolute embedding difference.  Its
-``serving`` sub-section times eager vs *compiled* ``batched_embed`` on
-the full city (the forward-only :class:`~repro.nn.compile.InferencePlan`
-replay); the plan spec persists in the experiment cache, so repeated
-runs relower it instead of paying the record epoch.
+:meth:`repro.serving.EmbeddingService.embed_batch` (one fused
+``(b, n, d)`` tensor pass) vs. the per-shard loop of ``embed_each`` over
+the identical model, recording the wall-clock speedup and the max
+absolute embedding difference.  Its ``serving`` sub-section times eager
+vs *compiled* ``embed_batch`` on the full city (the forward-only
+:class:`~repro.nn.compile.InferencePlan` replay); the plan spec persists
+in the experiment cache, so repeated runs relower it instead of paying
+the record epoch.
 
 HAFusion trains through the compiled record/replay executor, so the
 recorded wall-clocks reflect the compiled step (``REPRO_EAGER=1``

@@ -24,7 +24,6 @@ from .compile import (
     CompiledStep,
     InferencePlan,
     Plan,
-    compile_step,
     record_forward,
 )
 from .conv import AvgPool2d, Conv2d
@@ -60,7 +59,6 @@ __all__ = [
     "Plan",
     "InferencePlan",
     "CompiledStep",
-    "compile_step",
     "record_forward",
     "RECORD_STATS",
     "PlanCache",

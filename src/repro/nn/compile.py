@@ -61,8 +61,8 @@ import numpy as np
 from .module import Parameter
 from .tensor import Tensor, _is_basic_index, _unbroadcast, record_tape
 
-__all__ = ["Plan", "InferencePlan", "CompiledStep", "compile_step",
-           "record_forward", "RECORD_STATS", "RecordStats",
+__all__ = ["Plan", "InferencePlan", "CompiledStep", "record_forward",
+           "RECORD_STATS", "RecordStats",
            "DEFAULT_LOWERING", "resolve_lowering", "resolve_backend",
            "resolve_workers"]
 
@@ -2826,10 +2826,3 @@ class CompiledStep:
         if self._optimizer is not None:
             self._plan.update()
         return float(loss.data)
-
-
-def compile_step(loss_fn: Callable[[], Tensor],
-                 signature_fn: Callable[[], Hashable] | None = None,
-                 optimizer=None, grad_clip: float = 0.0) -> CompiledStep:
-    """Convenience constructor mirroring ``torch.compile``'s shape."""
-    return CompiledStep(loss_fn, signature_fn, optimizer, grad_clip)

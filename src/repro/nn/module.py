@@ -9,6 +9,7 @@ itself builds upon.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -98,6 +99,17 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
+
+    @contextmanager
+    def evaluating(self) -> Iterator["Module"]:
+        """Eval mode for the ``with`` block, then the prior mode back —
+        also when the block raises."""
+        was_training = self.training
+        self.eval()
+        try:
+            yield self
+        finally:
+            self.train(was_training)
 
     def zero_grad(self) -> None:
         for param in self.parameters():

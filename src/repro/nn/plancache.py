@@ -290,8 +290,8 @@ class PlanCache:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         # Size the capacity above the working set of distinct keys: a
-        # ragged sequential_embed holds one key per distinct mask
-        # pattern, and an LRU smaller than that cycle re-records every
+        # ragged EmbeddingService.embed_each holds one key per distinct
+        # mask pattern, and an LRU smaller than that cycle re-records every
         # plan on every pass (cache.stats()["misses"] growing linearly
         # is the tell).
         self.capacity = capacity

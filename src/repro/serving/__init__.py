@@ -26,17 +26,14 @@ The production-facing API over everything the execution engine
   (``oversize`` / ``view_mismatch`` / ``overload``) — and
   :class:`ServingUnavailable`, its post-admission counterpart (fleet
   down, retries exhausted, deadline missed);
-- :class:`FaultPlan` — the deterministic fault-injection harness the
-  chaos tests drive (kill/delay/fail selected batches in selected
-  workers);
 - :func:`serving_scheduler_report` — the throughput benchmark payload
   (uniform traffic vs the direct batched path, ragged traffic vs
   sequential serving).
 
-The legacy entry points — :func:`repro.core.engine.batched_embed`,
-:func:`repro.core.engine.sequential_embed` and
-:func:`repro.experiments.common.compute_embeddings` — are thin
-deprecated shims over this package.
+The chaos tests script worker crashes with :class:`repro.faults.FaultPlan`
+(``fault_plan=`` on :class:`ServingFleet`).  The experiment runners'
+:func:`repro.experiments.common.compute_embeddings` embeds every trained
+HAFusion through one :class:`EmbedRequest` to an :class:`EmbeddingService`.
 """
 
 from .api import (
@@ -52,7 +49,6 @@ from .api import (
     response_from_wire,
     response_to_wire,
 )
-from .faults import FaultPlan, FaultSpec, InjectedFault
 from .fleet import FleetResult, ServingFleet
 from .frontend import FrontendClient, FrontendThread, ServingFrontend
 from .report import serving_scheduler_report
@@ -75,9 +71,6 @@ __all__ = [
     "BucketKey",
     "ShapeBucketScheduler",
     "EmbeddingService",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
     "FleetResult",
     "ServingFleet",
     "FrontendClient",

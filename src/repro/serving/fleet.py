@@ -63,9 +63,10 @@ capacity silently decays to zero.  The supervisor closes that hole:
   fork-bomb); once the budget is gone and no worker is live the fleet
   is *fully down* and every outstanding batch fails typed.
 
-A deterministic :class:`~repro.serving.faults.FaultPlan` can be threaded
-into every worker (including respawned ones) to reproduce each of these
-failure modes in tests without racing a real ``kill``.
+A deterministic :class:`~repro.faults.FaultPlan` can be threaded into
+every worker (including respawned ones) to reproduce each of these
+failure modes in tests without racing a real ``kill``; it fires at
+``before_batch`` and ``after_batch``.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+from ..faults import FaultPlan
 from .api import EmbedRequest, EmbedResponse
-from .faults import FaultPlan
 
 __all__ = ["FleetResult", "ServingFleet"]
 
@@ -159,8 +160,9 @@ def _worker_main(worker_id: int, generation: int, builder: Callable,
                                      attempt=attempt, generation=generation))
         try:
             if fault_plan is not None:
-                fault_plan.apply(worker_id, batch_id, task_index, attempt,
-                                 "before")
+                fault_plan.apply("before_batch", worker_id=worker_id,
+                                 batch_id=batch_id, task_index=task_index,
+                                 attempt=attempt)
             responses = service.run(requests)
             result_queue.put(FleetResult(batch_id, worker_id,
                                          responses=responses,
@@ -169,8 +171,9 @@ def _worker_main(worker_id: int, generation: int, builder: Callable,
                                          generation=generation,
                                          answered=service.answered))
             if fault_plan is not None:
-                fault_plan.apply(worker_id, batch_id, task_index, attempt,
-                                 "after")
+                fault_plan.apply("after_batch", worker_id=worker_id,
+                                 batch_id=batch_id, task_index=task_index,
+                                 attempt=attempt)
         except Exception:
             result_queue.put(FleetResult(batch_id, worker_id,
                                          error=traceback.format_exc(),
@@ -214,8 +217,10 @@ class ServingFleet:
         Total respawn budget across the fleet's lifetime — the
         crash-loop bound.
     fault_plan:
-        Optional deterministic :class:`FaultPlan` threaded into every
-        worker, respawned ones included (test harness only).
+        Optional deterministic :class:`~repro.faults.FaultPlan` threaded
+        into every worker, respawned ones included (test harness only);
+        a spec at any point but ``before_batch``/``after_batch`` is
+        rejected here.
     """
 
     def __init__(self, builder: Callable, builder_args: Sequence = (), *,
@@ -229,6 +234,9 @@ class ServingFleet:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if max_respawns < 0:
             raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
+        if fault_plan is not None:
+            fault_plan.check_fire_points(("before_batch", "after_batch"),
+                                         "the serving fleet")
         self.builder = builder
         self.builder_args = tuple(builder_args)
         self.n_workers = n_workers

@@ -7,10 +7,9 @@ repo produces flows through its single batch code path:
 - :meth:`embed_batch` runs one padded :class:`~repro.core.engine.CityBatch`
   through the model as a single ``(b, n, d)`` pass, eagerly or by
   replaying a compiled :class:`~repro.nn.compile.InferencePlan` fetched
-  from the plan cache (the code path the deprecated
-  :func:`repro.core.engine.batched_embed` shim delegates to);
-- :meth:`embed_each` is its per-city parity twin (the
-  ``sequential_embed`` shim);
+  from the plan cache;
+- :meth:`embed_each` is its per-city parity twin;
+- :meth:`plan_for` hands out the resident plan serving a batch shape;
 - :meth:`submit` / :meth:`poll` / :meth:`flush` queue typed
   :class:`~repro.serving.api.EmbedRequest`\\ s through the
   :class:`~repro.serving.scheduler.ShapeBucketScheduler`, co-batching
@@ -209,9 +208,11 @@ class EmbeddingService:
 
         The cache key carries everything that changes the lowered
         program: config digest, input shapes, compute dtype and the mask
-        contents (masks are baked into the plan as constants).
-        Parameter *values* are rebound, so one spec serves every model
-        of this architecture.
+        contents (masks are baked into the plan as constants), plus
+        ``tag``, whose two values keep the names of retired functions
+        because on-disk plan caches and warm-up packs store keys with
+        them.  Parameter *values* are rebound, so one spec serves every
+        model of this architecture.
         """
         model = self.model
         params = model.parameters()
@@ -220,16 +221,13 @@ class EmbeddingService:
             mask, extra=(tag, str(params[0].dtype) if params else "none"))
 
         def record():
-            was_training = model.training
-            model.eval()
             # Private slot copies: run() refills these per request, so
             # they must never alias the caller's arrays.
             slots = [Tensor(np.array(m, dtype=get_default_dtype()))
                      for m in matrices]
-            with no_grad():
+            with model.evaluating(), no_grad():
                 output, nodes = record_forward(
                     lambda: model.forward(slots, mask=mask))
-            model.train(was_training)
             return output, nodes, slots
 
         return self.plan_cache.get(key, params, record)
@@ -246,13 +244,9 @@ class EmbeddingService:
         """One fused ``(b, n, d)`` pass; returns (per-city crops, event)."""
         compiled = self.compiled if compiled is None else compiled
         if not compiled:
-            model = self.model
-            was_training = model.training
-            model.eval()
-            with no_grad():
-                h = model.forward([Tensor(m) for m in batch.matrices],
-                                  mask=batch.forward_mask())
-            model.train(was_training)
+            with self.model.evaluating(), no_grad():
+                h = self.model.forward([Tensor(m) for m in batch.matrices],
+                                       mask=batch.forward_mask())
             return self._crop(h.data, batch), "eager"
         before = self.plan_cache.stats()
         plan = self._plan(batch.matrices, batch.forward_mask(), tag)
@@ -304,17 +298,13 @@ class EmbeddingService:
         compiled = self.compiled if compiled is None else compiled
         mask = batch.forward_mask()
         if not compiled:
-            model = self.model
-            was_training = model.training
-            model.eval()
             outputs = []
-            with no_grad():
+            with self.model.evaluating(), no_grad():
                 for i in range(batch.batch_size):
                     inputs = [Tensor(m[i:i + 1]) for m in batch.matrices]
                     item_mask = None if mask is None else mask[i:i + 1]
-                    h = model.forward(inputs, mask=item_mask)
+                    h = self.model.forward(inputs, mask=item_mask)
                     outputs.append(h.data[0, :batch.n_regions[i]].copy())
-            model.train(was_training)
             return outputs
         outputs = []
         for i in range(batch.batch_size):

@@ -1,10 +1,9 @@
-"""Durable training: crash-safe checkpoints, bit-identical resume, and
-deterministic training-side fault injection.
+"""Durable training: crash-safe checkpoints and bit-identical resume.
 
-The training twin of :mod:`repro.serving`'s robustness layer (PR 8):
+The training twin of :mod:`repro.serving`'s robustness layer:
 :mod:`repro.train.checkpoint` makes training state survive ``kill -9``
-with atomic checksummed snapshots, and :mod:`repro.train.faults` scripts
-the exact crash a test asserts on.
+with atomic checksummed snapshots, and :class:`repro.faults.FaultPlan`
+scripts the exact crash a test asserts on.
 """
 
 from .checkpoint import (
@@ -19,7 +18,6 @@ from .checkpoint import (
     restore_rng_states,
     write_checkpoint,
 )
-from .faults import InjectedTrainFault, TrainFaultPlan, TrainFaultSpec
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -32,7 +30,4 @@ __all__ = [
     "read_checkpoint",
     "restore_rng_states",
     "write_checkpoint",
-    "InjectedTrainFault",
-    "TrainFaultPlan",
-    "TrainFaultSpec",
 ]

@@ -298,9 +298,10 @@ class Checkpointer:
     numerical abort.
 
     ``every=0`` disables interval checkpoints (preemption/abort saves
-    still fire).  ``fault_plan`` threads a
-    :class:`~repro.train.faults.TrainFaultPlan` into the
-    ``mid_checkpoint`` fire point.
+    still fire).  ``fault_plan`` is the training run's
+    :class:`~repro.faults.FaultPlan`: the checkpointer fires its
+    ``mid_checkpoint`` specs and the loop it is handed to the
+    ``before_step``/``after_step`` ones, so any other point is rejected.
     """
 
     def __init__(self, model: Module, optimizer: Optimizer,
@@ -308,6 +309,10 @@ class Checkpointer:
                  keep: int = 3, fault_plan=None):
         if every < 0:
             raise ValueError(f"every must be >= 0, got {every}")
+        if fault_plan is not None:
+            fault_plan.check_fire_points(
+                ("before_step", "after_step", "mid_checkpoint"),
+                "a checkpointed training run")
         self.model = model
         self.optimizer = optimizer
         self.store = CheckpointStore(directory, keep=keep)
@@ -392,8 +397,8 @@ class Checkpointer:
     def _fault_hook(self, epoch: int):
         if self.fault_plan is None:
             return None
-        return lambda: self.fault_plan.apply(epoch, self.attempt,
-                                             "mid_checkpoint")
+        return lambda: self.fault_plan.apply(
+            "mid_checkpoint", epoch=epoch, attempt=self.attempt)
 
     def save(self, epoch: int, history, reason: str = "interval") -> Path:
         payload = self.capture(epoch, history, reason=reason)

@@ -17,14 +17,13 @@ from repro.core import (
     InterAFL,
     IntraAFL,
     RegionFusion,
-    batched_embed,
     build_batched_model,
     make_batch,
-    sequential_embed,
     shard_viewset,
 )
 from repro.data import CityConfig, generate_city
 from repro.nn import Tensor
+from repro.serving import EmbeddingService
 
 ATOL = 1e-8
 BATCH = 3
@@ -176,13 +175,15 @@ def tiny_config():
 
 
 class TestEngineParity:
-    def test_ragged_batched_embed_matches_sequential(self, ragged_cities, tiny_config):
-        model = build_batched_model(make_batch(ragged_cities), tiny_config, seed=0)
-        batched = batched_embed(ragged_cities, tiny_config, model=model)
-        sequential = sequential_embed(ragged_cities, tiny_config, model=model)
-        assert batched.batch_size == 3
-        for b, s, city in zip(batched.embeddings, sequential.embeddings,
-                              ragged_cities):
+    def test_ragged_embed_batch_matches_embed_each(self, ragged_cities,
+                                                   tiny_config):
+        service = EmbeddingService.build(ragged_cities, tiny_config, seed=0,
+                                         compiled=False)
+        batch = make_batch(ragged_cities)
+        batched = service.embed_batch(batch)
+        sequential = service.embed_each(batch)
+        assert len(batched) == 3
+        for b, s, city in zip(batched, sequential, ragged_cities):
             assert b.shape == (city.n_regions, tiny_config.d)
             np.testing.assert_allclose(b, s, rtol=0.0, atol=ATOL)
 
@@ -195,8 +196,8 @@ class TestEngineParity:
         batch = make_batch(cities)
         assert not batch.is_padded
         model = build_batched_model(batch, tiny_config, seed=0)
-        batched = batched_embed(cities, tiny_config, model=model)
-        for embedding, city in zip(batched.embeddings, cities):
+        batched = EmbeddingService(model, compiled=False).embed_batch(batch)
+        for embedding, city in zip(batched, cities):
             direct = model.embed(city.views())
             np.testing.assert_allclose(embedding, direct, rtol=0.0, atol=ATOL)
 
@@ -204,8 +205,10 @@ class TestEngineParity:
         city = ragged_cities[2]
         shards = shard_viewset(city.views(), 3)
         assert sum(s.n_regions for s in shards) == city.n_regions
-        result = batched_embed(shards, tiny_config, seed=0)
-        assert sum(e.shape[0] for e in result.embeddings) == city.n_regions
+        service = EmbeddingService.build(shards, tiny_config, seed=0,
+                                         compiled=False)
+        result = service.embed_batch(make_batch(shards))
+        assert sum(e.shape[0] for e in result) == city.n_regions
 
     def test_shard_bounds_validated(self, ragged_cities):
         views = ragged_cities[0].views()
@@ -230,10 +233,12 @@ class TestEngineParity:
         """Every architecture variant must keep the masked-batch contract,
         including the vanilla-attention and sum/concat ablation paths."""
         config = tiny_config.with_overrides(**overrides)
-        model = build_batched_model(make_batch(ragged_cities), config, seed=0)
-        batched = batched_embed(ragged_cities, config, model=model)
-        sequential = sequential_embed(ragged_cities, config, model=model)
-        for b, s in zip(batched.embeddings, sequential.embeddings):
+        service = EmbeddingService.build(ragged_cities, config, seed=0,
+                                         compiled=False)
+        batch = make_batch(ragged_cities)
+        batched = service.embed_batch(batch)
+        sequential = service.embed_each(batch)
+        for b, s in zip(batched, sequential):
             np.testing.assert_allclose(b, s, rtol=0.0, atol=ATOL)
 
 

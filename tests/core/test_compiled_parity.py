@@ -394,15 +394,15 @@ class TestFloat32:
     def test_batched_engine_parity_float32(self, ragged_cities, tiny_config):
         """The PR-1 parity twins under float32: one shared model, fused
         (b, n, d) pass vs per-city loop, ≈1e-4."""
-        from repro.core import (batched_embed, build_batched_model,
-                                make_batch, sequential_embed)
+        from repro.core import make_batch
+        from repro.serving import EmbeddingService
         with use_dtype(np.float32):
-            model = build_batched_model(make_batch(ragged_cities),
-                                        tiny_config, seed=0)
-            batched = batched_embed(ragged_cities, tiny_config, model=model)
-            sequential = sequential_embed(ragged_cities, tiny_config,
-                                          model=model)
-        for b, s in zip(batched.embeddings, sequential.embeddings):
+            service = EmbeddingService.build(ragged_cities, tiny_config,
+                                             seed=0, compiled=False)
+            batch = make_batch(ragged_cities)
+            batched = service.embed_batch(batch)
+            sequential = service.embed_each(batch)
+        for b, s in zip(batched, sequential):
             assert b.dtype == np.float32
             np.testing.assert_allclose(b, s, rtol=0.0, atol=ATOL32)
 

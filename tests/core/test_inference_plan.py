@@ -4,9 +4,9 @@ pool.
 
 Contracts under test:
 
-- ``batched_embed(..., compiled=True)`` / ``sequential_embed`` replay
-  flat kernels and match the eager engine to ≤1e-8 (float64) / ≈1e-4
-  (float32, with no dtype leaks);
+- ``EmbeddingService.embed_batch`` / ``embed_each`` replay flat kernels
+  and match the eager engine to ≤1e-8 (float64) / ≈1e-4 (float32, with
+  no dtype leaks);
 - the cache keys on (config digest, shapes, dtype, mask signature):
   same-key requests replay a live plan, parameter swaps relower the
   cached spec (no record epoch), key changes record exactly once;
@@ -24,13 +24,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import (
-    HAFusionConfig,
-    batched_embed,
-    make_batch,
-    sequential_embed,
-)
-from repro.core.engine import build_batched_model, _serving_plan
+from repro.core import HAFusionConfig, build_batched_model, make_batch
 from repro.data import CityConfig, generate_city
 from repro.nn import (
     RECORD_STATS,
@@ -42,6 +36,7 @@ from repro.nn import (
     use_dtype,
 )
 from repro.nn.compile import InferencePlan
+from repro.serving import EmbeddingService
 
 ATOL64 = 1e-8
 ATOL32 = 1e-4
@@ -73,28 +68,27 @@ def same_cities():
 
 
 def _assert_embed_parity(batch, model, cache, atol=ATOL64):
-    eager = batched_embed(batch, model=model)
-    compiled = batched_embed(batch, model=model, compiled=True,
-                             plan_cache=cache)
-    for e, c in zip(eager.embeddings, compiled.embeddings):
+    service = EmbeddingService(model, plan_cache=cache)
+    eager = service.embed_batch(batch, compiled=False)
+    compiled = service.embed_batch(batch)
+    for e, c in zip(eager, compiled):
         np.testing.assert_allclose(c, e, rtol=0.0, atol=atol)
     return eager, compiled
 
 
 class TestServingParity:
-    def test_batched_embed_unpadded(self, same_cities, tiny_config):
+    def test_embed_batch_unpadded(self, same_cities, tiny_config):
         batch = make_batch(same_cities)
         model = build_batched_model(batch, tiny_config, seed=0)
         _assert_embed_parity(batch, model, PlanCache())
 
-    def test_batched_embed_ragged_masked(self, ragged_cities, tiny_config):
+    def test_embed_batch_ragged_masked(self, ragged_cities, tiny_config):
         batch = make_batch(ragged_cities)
         model = build_batched_model(batch, tiny_config, seed=0)
         cache = PlanCache()
         _assert_embed_parity(batch, model, cache)
         # The masked gate chain fuses in the inference plan too.
-        plan = _serving_plan(model, batch.matrices, batch.forward_mask(),
-                             cache, "batched_embed")
+        plan = EmbeddingService(model, plan_cache=cache).plan_for(batch)
         assert plan.num_fused_chains == tiny_config.intra_layers * 3
 
     def test_wide_conv_channels(self, ragged_cities, tiny_config):
@@ -105,14 +99,14 @@ class TestServingParity:
         model = build_batched_model(batch, config, seed=0)
         _assert_embed_parity(batch, model, PlanCache())
 
-    def test_sequential_embed_compiled(self, ragged_cities, tiny_config):
+    def test_embed_each_compiled(self, ragged_cities, tiny_config):
         batch = make_batch(ragged_cities)
         model = build_batched_model(batch, tiny_config, seed=0)
         cache = PlanCache()
-        eager = sequential_embed(batch, model=model)
-        compiled = sequential_embed(batch, model=model, compiled=True,
-                                    plan_cache=cache)
-        for e, c in zip(eager.embeddings, compiled.embeddings):
+        service = EmbeddingService(model, plan_cache=cache)
+        eager = service.embed_each(batch, compiled=False)
+        compiled = service.embed_each(batch)
+        for e, c in zip(eager, compiled):
             np.testing.assert_allclose(c, e, rtol=0.0, atol=ATOL64)
         # One plan per distinct mask pattern — three ragged cities.
         assert cache.misses == 3
@@ -121,12 +115,11 @@ class TestServingParity:
         batch = make_batch(same_cities)
         model = build_batched_model(batch, tiny_config, seed=0)
         cache = PlanCache()
-        first = batched_embed(batch, model=model, compiled=True,
-                              plan_cache=cache)
-        second = batched_embed(batch, model=model, compiled=True,
-                               plan_cache=cache)
+        service = EmbeddingService(model, plan_cache=cache)
+        first = service.embed_batch(batch)
+        second = service.embed_batch(batch)
         assert cache.hits >= 1
-        for a, b in zip(first.embeddings, second.embeddings):
+        for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
     def test_float32_serving(self, ragged_cities, tiny_config):
@@ -136,7 +129,7 @@ class TestServingParity:
             model = build_batched_model(batch, tiny_config, seed=0)
             eager, compiled = _assert_embed_parity(batch, model, PlanCache(),
                                                    atol=ATOL32)
-        for e, c in zip(eager.embeddings, compiled.embeddings):
+        for e, c in zip(eager, compiled):
             assert e.dtype == np.float32
             assert c.dtype == np.float32
 
@@ -145,7 +138,7 @@ class TestServingParity:
         batch = make_batch(ragged_cities)
         before = [m.copy() for m in batch.matrices]
         model = build_batched_model(batch, tiny_config, seed=0)
-        batched_embed(batch, model=model, compiled=True, plan_cache=PlanCache())
+        EmbeddingService(model, plan_cache=PlanCache()).embed_batch(batch)
         for m, ref in zip(batch.matrices, before):
             np.testing.assert_array_equal(m, ref)
 
@@ -176,18 +169,19 @@ class TestPlanCacheKeys:
         cache = PlanCache()
         ragged = make_batch(ragged_cities)       # masked, n_max=14
         even = make_batch(same_cities)           # unpadded, n_max=10
-        model_r = build_batched_model(ragged, tiny_config, seed=0)
-        model_e = build_batched_model(even, tiny_config, seed=0)
-        batched_embed(ragged, model=model_r, compiled=True, plan_cache=cache)
-        batched_embed(even, model=model_e, compiled=True, plan_cache=cache)
+        service_r = EmbeddingService(
+            build_batched_model(ragged, tiny_config, seed=0), plan_cache=cache)
+        service_e = EmbeddingService(
+            build_batched_model(even, tiny_config, seed=0), plan_cache=cache)
+        service_r.embed_batch(ragged)
+        service_e.embed_batch(even)
         assert cache.misses == 2                 # different shapes+mask
-        batched_embed(ragged, model=model_r, compiled=True, plan_cache=cache)
-        batched_embed(even, model=model_e, compiled=True, plan_cache=cache)
+        service_r.embed_batch(ragged)
+        service_e.embed_batch(even)
         assert cache.misses == 2 and cache.hits == 2
         # Same layout, different padding pattern -> different mask
         # signature -> third record.
-        reordered = ragged.select([2, 0, 1])
-        batched_embed(reordered, model=model_r, compiled=True, plan_cache=cache)
+        service_r.embed_batch(ragged.select([2, 0, 1]))
         assert cache.misses == 3
 
     def test_cross_model_spec_reuse(self, same_cities, tiny_config):
@@ -196,15 +190,15 @@ class TestPlanCacheKeys:
         batch = make_batch(same_cities)
         cache = PlanCache()
         model_a = build_batched_model(batch, tiny_config, seed=0)
-        batched_embed(batch, model=model_a, compiled=True, plan_cache=cache)
-        model_b = build_batched_model(batch, tiny_config, seed=99)
+        EmbeddingService(model_a, plan_cache=cache).embed_batch(batch)
+        service_b = EmbeddingService(
+            build_batched_model(batch, tiny_config, seed=99), plan_cache=cache)
         RECORD_STATS.reset()
-        eager_b = batched_embed(batch, model=model_b)
-        compiled_b = batched_embed(batch, model=model_b, compiled=True,
-                                   plan_cache=cache)
+        eager_b = service_b.embed_batch(batch, compiled=False)
+        compiled_b = service_b.embed_batch(batch)
         assert RECORD_STATS.total == 0
         assert cache.spec_hits == 1
-        for e, c in zip(eager_b.embeddings, compiled_b.embeddings):
+        for e, c in zip(eager_b, compiled_b):
             np.testing.assert_allclose(c, e, rtol=0.0, atol=ATOL64)
 
     def test_param_swap_invalidation(self, same_cities, tiny_config):
@@ -214,14 +208,14 @@ class TestPlanCacheKeys:
         batch = make_batch(same_cities)
         cache = PlanCache()
         model = build_batched_model(batch, tiny_config, seed=0)
-        batched_embed(batch, model=model, compiled=True, plan_cache=cache)
+        service = EmbeddingService(model, plan_cache=cache)
+        service.embed_batch(batch)
         model.load_state_dict({k: v * 0.5 for k, v in model.state_dict().items()})
         RECORD_STATS.reset()
-        eager = batched_embed(batch, model=model)
-        compiled = batched_embed(batch, model=model, compiled=True,
-                                 plan_cache=cache)
+        eager = service.embed_batch(batch, compiled=False)
+        compiled = service.embed_batch(batch)
         assert RECORD_STATS.total == 0 and cache.spec_hits == 1
-        for e, c in zip(eager.embeddings, compiled.embeddings):
+        for e, c in zip(eager, compiled):
             np.testing.assert_allclose(c, e, rtol=0.0, atol=ATOL64)
 
     def test_lru_eviction(self, ragged_cities, same_cities, tiny_config):
@@ -229,11 +223,13 @@ class TestPlanCacheKeys:
         cache = PlanCache(capacity=1)
         ragged = make_batch(ragged_cities)
         even = make_batch(same_cities)
-        model_r = build_batched_model(ragged, tiny_config, seed=0)
-        model_e = build_batched_model(even, tiny_config, seed=0)
-        batched_embed(ragged, model=model_r, compiled=True, plan_cache=cache)
-        batched_embed(even, model=model_e, compiled=True, plan_cache=cache)
-        batched_embed(ragged, model=model_r, compiled=True, plan_cache=cache)
+        service_r = EmbeddingService(
+            build_batched_model(ragged, tiny_config, seed=0), plan_cache=cache)
+        service_e = EmbeddingService(
+            build_batched_model(even, tiny_config, seed=0), plan_cache=cache)
+        service_r.embed_batch(ragged)
+        service_e.embed_batch(even)
+        service_r.embed_batch(ragged)
         assert cache.misses == 3
         assert cache.stats()["cached_specs"] == 1
         # Eviction drops the evicted key's live plan with its spec.
@@ -248,8 +244,7 @@ class TestDiskCache:
         batch = make_batch(ragged_cities)
         cold = PlanCache(directory=tmp_path)
         model = build_batched_model(batch, tiny_config, seed=0)
-        first = batched_embed(batch, model=model, compiled=True,
-                              plan_cache=cold)
+        first = EmbeddingService(model, plan_cache=cold).embed_batch(batch)
         assert cold.misses == 1
 
         # A fresh cache over the same directory simulates a new process:
@@ -258,11 +253,10 @@ class TestDiskCache:
         warm = PlanCache(directory=tmp_path)
         model2 = build_batched_model(batch, tiny_config, seed=0)
         RECORD_STATS.reset()
-        second = batched_embed(batch, model=model2, compiled=True,
-                               plan_cache=warm)
+        second = EmbeddingService(model2, plan_cache=warm).embed_batch(batch)
         assert RECORD_STATS.total == 0
         assert warm.disk_hits == 1 and warm.misses == 0
-        for a, b in zip(first.embeddings, second.embeddings):
+        for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
     def _cache_files(self, directory):
@@ -273,23 +267,21 @@ class TestDiskCache:
         batch = make_batch(same_cities)
         model = build_batched_model(batch, tiny_config, seed=0)
         cold = PlanCache(directory=tmp_path)
-        reference = batched_embed(batch, model=model, compiled=True,
-                                  plan_cache=cold)
+        reference = EmbeddingService(model, plan_cache=cold).embed_batch(batch)
         (path,) = self._cache_files(tmp_path)
         path.write_bytes(b"\x00not a pickle")
 
         warm = PlanCache(directory=tmp_path)
         RECORD_STATS.reset()
-        recovered = batched_embed(batch, model=model, compiled=True,
-                                  plan_cache=warm)
+        recovered = EmbeddingService(model, plan_cache=warm).embed_batch(batch)
         assert warm.disk_errors == 1 and warm.misses == 1
         assert RECORD_STATS.total == 1          # fell back to a record
-        for a, b in zip(reference.embeddings, recovered.embeddings):
+        for a, b in zip(reference, recovered):
             np.testing.assert_array_equal(a, b)
         # The re-record rewrote a good entry.
         fresh = PlanCache(directory=tmp_path)
         RECORD_STATS.reset()
-        batched_embed(batch, model=model, compiled=True, plan_cache=fresh)
+        EmbeddingService(model, plan_cache=fresh).embed_batch(batch)
         assert RECORD_STATS.total == 0 and fresh.disk_hits == 1
 
     def test_stale_key_falls_back_to_record(self, same_cities, tiny_config,
@@ -299,7 +291,7 @@ class TestDiskCache:
         batch = make_batch(same_cities)
         model = build_batched_model(batch, tiny_config, seed=0)
         cold = PlanCache(directory=tmp_path)
-        batched_embed(batch, model=model, compiled=True, plan_cache=cold)
+        EmbeddingService(model, plan_cache=cold).embed_batch(batch)
         (path,) = self._cache_files(tmp_path)
         spec = pickle.loads(path.read_bytes())
         spec.key = ("infer", "tampered")
@@ -307,7 +299,7 @@ class TestDiskCache:
 
         warm = PlanCache(directory=tmp_path)
         RECORD_STATS.reset()
-        batched_embed(batch, model=model, compiled=True, plan_cache=warm)
+        EmbeddingService(model, plan_cache=warm).embed_batch(batch)
         assert warm.disk_errors == 1 and warm.misses == 1
         assert RECORD_STATS.total == 1
 
@@ -319,7 +311,7 @@ class TestDiskCache:
         batch = make_batch(same_cities)
         model = build_batched_model(batch, tiny_config, seed=0)
         cache = PlanCache(directory=tmp_path)
-        batched_embed(batch, model=model, compiled=True, plan_cache=cache)
+        EmbeddingService(model, plan_cache=cache).embed_batch(batch)
         (path,) = self._cache_files(tmp_path)
         spec = pickle.loads(path.read_bytes())
         spec.param_count += 1                   # architecture drift
@@ -327,12 +319,12 @@ class TestDiskCache:
 
         warm = PlanCache(directory=tmp_path)
         RECORD_STATS.reset()
-        recovered = batched_embed(batch, model=model, compiled=True,
-                                  plan_cache=warm)
+        service = EmbeddingService(model, plan_cache=warm)
+        recovered = service.embed_batch(batch)
         assert warm.invalidations == 1 and warm.misses == 1
         assert RECORD_STATS.total == 1
-        eager = batched_embed(batch, model=model)
-        for e, c in zip(eager.embeddings, recovered.embeddings):
+        eager = service.embed_batch(batch, compiled=False)
+        for e, c in zip(eager, recovered):
             np.testing.assert_allclose(c, e, rtol=0.0, atol=ATOL64)
 
 

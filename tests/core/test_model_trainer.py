@@ -76,11 +76,14 @@ class TestHAFusionModel:
         b = model.embed(views)
         assert np.allclose(a, b)
 
-    def test_embed_restores_training_mode(self, tiny_city, rng):
+    @pytest.mark.parametrize("training", [True, False],
+                             ids=["train", "eval"])
+    def test_embed_restores_training_mode(self, tiny_city, rng, training):
         views = tiny_city.views()
         model = HAFusion(views.dims(), views.n_regions, _tiny_config(), rng=rng)
+        model.train(training)
         model.embed(views)
-        assert model.training
+        assert model.training is training
 
     def test_no_mobility_view(self, tiny_city, rng):
         views = tiny_city.views().subset(["poi", "landuse"])

@@ -26,7 +26,6 @@ from repro.nn import (
     PlanCache,
     Tensor,
     clip_grad_norm,
-    compile_step,
     no_grad,
     record_forward,
 )
@@ -217,7 +216,6 @@ _FORMER_BACKEND_ENTRY_POINTS = {
     "Plan": lambda **kw: Plan(None, [], **kw),
     "InferencePlan": lambda **kw: InferencePlan(None, [], [], **kw),
     "CompiledStep": lambda **kw: CompiledStep(lambda: None, **kw),
-    "compile_step": lambda **kw: compile_step(lambda: None, **kw),
     "build_inference_plan": lambda **kw: build_inference_plan(None, [], **kw),
     "PlanCache.get": lambda **kw: PlanCache().get(None, [], None, **kw),
     "EmbeddingService": lambda **kw: EmbeddingService(None, **kw),

@@ -1,12 +1,13 @@
 """Fault-tolerance tests: the fleet supervisor under deterministic chaos.
 
 Every failure mode the supervisor handles is reproduced here with a
-:class:`FaultPlan` instead of a racing ``kill`` from a shell: workers
-killed mid-batch (crash → retry → respawn), batches that raise (bounded
-retry → typed exhaustion), stragglers (the frontend's per-batch
-deadline), a decayed fleet (degraded admission, fully-down typed
-unavailability) — plus the client-side retry/backoff/reconnect loop
-against a scripted server.
+:class:`~repro.faults.FaultPlan` instead of a racing ``kill`` from a
+shell: workers killed mid-batch (crash → retry → respawn), batches that
+raise (bounded retry → typed exhaustion), stragglers (the frontend's
+per-batch deadline), a decayed fleet (degraded admission, fully-down
+typed unavailability) — plus the client-side retry/backoff/reconnect
+loop against a scripted server.  The plan's own semantics are pinned in
+``tests/test_fault_plan.py``.
 
 The headline assertion mirrors the serving suite's tentpole: a mixed
 trace served through a fleet whose worker is **killed mid-trace** (and
@@ -25,17 +26,15 @@ import numpy as np
 import pytest
 
 from repro.core import HAFusionConfig
+from repro.faults import FaultPlan
 from repro.serving import (
     AdmissionError,
     EmbedRequest,
     EmbedResponse,
     EmbeddingService,
-    FaultPlan,
-    FaultSpec,
     FlushPolicy,
     FrontendClient,
     FrontendThread,
-    InjectedFault,
     ServingFleet,
     ServingFrontend,
     ServingUnavailable,
@@ -112,46 +111,6 @@ def assert_pair_served(result, pack) -> None:
 
 
 # ----------------------------------------------------------------------
-# FaultPlan semantics (no processes)
-# ----------------------------------------------------------------------
-
-class TestFaultPlan:
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="fault kind"):
-            FaultSpec(kind="explode")
-        with pytest.raises(ValueError, match="fault when"):
-            FaultSpec(kind="kill", when="sometime")
-        with pytest.raises(ValueError, match="seconds"):
-            FaultSpec(kind="delay", seconds=-1.0)
-
-    def test_selectors_are_conjunctive(self):
-        spec = FaultSpec(kind="fail", worker_id=1, batch_id=2)
-        assert spec.matches(1, 2, 9, 1, "before")
-        assert not spec.matches(0, 2, 9, 1, "before")   # wrong worker
-        assert not spec.matches(1, 3, 9, 1, "before")   # wrong batch
-        assert not spec.matches(1, 2, 9, 2, "before")   # attempt defaults 1
-        assert not spec.matches(1, 2, 9, 1, "after")    # wrong side
-
-    def test_attempt_none_matches_every_execution(self):
-        spec = FaultSpec(kind="fail", batch_id=2, attempt=None)
-        assert spec.matches(0, 2, 1, 1, "before")
-        assert spec.matches(0, 2, 1, 3, "before")
-
-    def test_fail_raises_and_delay_sleeps_in_plan_order(self):
-        plan = (FaultPlan()
-                .delay(0.05, batch_id=1)
-                .fail("boom", batch_id=1))
-        started = time.monotonic()
-        with pytest.raises(InjectedFault, match="boom"):
-            plan.apply(0, 1, 1, 1, "before")
-        assert time.monotonic() - started >= 0.05
-        # Non-matching points are no-ops.
-        plan.apply(0, 2, 2, 1, "before")
-        plan.apply(0, 1, 1, 2, "before")
-
-
-# ----------------------------------------------------------------------
 # Fleet supervisor (direct submit/next_result, no frontend)
 # ----------------------------------------------------------------------
 
@@ -160,7 +119,7 @@ class TestSupervisor:
     def test_failed_batch_is_retried_transparently(self, pack):
         """A worker exception costs one retry, not the answer: the
         caller sees only the terminal served result."""
-        plan = FaultPlan().fail(batch_id=7)
+        plan = FaultPlan().fail("before_batch", batch_id=7)
         with make_fleet(pack, n_workers=1, fault_plan=plan) as fleet:
             fleet.submit(7, pair_batch())
             result = fleet.next_result(timeout=60)
@@ -172,7 +131,7 @@ class TestSupervisor:
             assert fleet.total_record_epochs() == 0
 
     def test_retry_exhaustion_is_a_typed_failure(self, pack):
-        plan = FaultPlan().fail(batch_id=9, attempt=None)
+        plan = FaultPlan().fail("before_batch", batch_id=9, attempt=None)
         with make_fleet(pack, n_workers=1, max_attempts=2,
                         fault_plan=plan) as fleet:
             fleet.submit(9, pair_batch())
@@ -189,7 +148,8 @@ class TestSupervisor:
         and the fleet ends at full strength with zero record epochs."""
         # The short delay lets the claim message flush to the queue
         # before the process dies with it.
-        plan = FaultPlan().delay(0.05, batch_id=5).kill(batch_id=5)
+        plan = (FaultPlan().delay("before_batch", 0.05, batch_id=5)
+                .kill("before_batch", batch_id=5))
         with make_fleet(pack, n_workers=2, fault_plan=plan) as fleet:
             fleet.submit(5, pair_batch())
             result = fleet.next_result(timeout=60)
@@ -211,7 +171,8 @@ class TestSupervisor:
     def test_fully_down_fleet_fails_outstanding_typed(self, pack):
         """No live worker and no respawn budget: outstanding batches
         fail typed instead of waiting on attempts nobody can serve."""
-        plan = FaultPlan().delay(0.05, batch_id=3).kill(batch_id=3)
+        plan = (FaultPlan().delay("before_batch", 0.05, batch_id=3)
+                .kill("before_batch", batch_id=3))
         with make_fleet(pack, n_workers=1, respawn_workers=False,
                         fault_plan=plan) as fleet:
             fleet.submit(3, pair_batch())
@@ -229,7 +190,7 @@ class TestSupervisor:
     def test_forgotten_batch_result_is_discarded(self, pack):
         """forget() (the frontend deadline path) makes the dispatch
         terminal: the late result is dropped, not delivered."""
-        plan = FaultPlan().delay(0.3, batch_id=4)
+        plan = FaultPlan().delay("before_batch", 0.3, batch_id=4)
         with make_fleet(pack, n_workers=1, fault_plan=plan) as fleet:
             fleet.submit(4, pair_batch())
             fleet.forget(4)
@@ -307,8 +268,9 @@ class TestFrontendChaos:
         epoch (the respawned worker re-attached the pack), and the
         fleet ends at full strength."""
         plan = (FaultPlan()
-                .delay(0.2, batch_id=1)                      # straggler
-                .delay(0.05, batch_id=2).kill(batch_id=2))   # crash
+                .delay("before_batch", 0.2, batch_id=1)     # straggler
+                .delay("before_batch", 0.05, batch_id=2)
+                .kill("before_batch", batch_id=2))          # crash
         fleet = make_fleet(pack, n_workers=2, fault_plan=plan)
         harness = FrontendThread(make_frontend(fleet)).start()
         try:
@@ -339,7 +301,7 @@ class TestFrontendChaos:
         ``batch_deadline`` the waiters fail typed (``unavailable`` with
         a retry hint), the late result is discarded, and the next
         dispatch serves normally."""
-        plan = FaultPlan().delay(1.5, batch_id=1)
+        plan = FaultPlan().delay("before_batch", 1.5, batch_id=1)
         fleet = make_fleet(pack, n_workers=1, fault_plan=plan)
         harness = FrontendThread(
             make_frontend(fleet, batch_deadline=0.4)).start()
@@ -369,7 +331,8 @@ class TestFrontendChaos:
         """Half the fleet dead (respawn off) halves the effective
         queue-depth bound: a burst that a healthy fleet would absorb is
         partially shed, with the degradation named in the message."""
-        plan = FaultPlan().delay(0.05, batch_id=1).kill(batch_id=1)
+        plan = (FaultPlan().delay("before_batch", 0.05, batch_id=1)
+                .kill("before_batch", batch_id=1))
         fleet = make_fleet(pack, n_workers=2, respawn_workers=False,
                            fault_plan=plan)
         harness = FrontendThread(
@@ -408,7 +371,7 @@ class TestFrontendChaos:
         used to leave its future pending forever (the client blocked
         until socket timeout).  Now the drain is bounded and whatever
         remains is failed with a typed ``unavailable`` reply."""
-        plan = FaultPlan().delay(2.0, batch_id=1)
+        plan = FaultPlan().delay("before_batch", 2.0, batch_id=1)
         fleet = make_fleet(pack, n_workers=1, fault_plan=plan)
         harness = FrontendThread(
             make_frontend(fleet, drain_timeout=0.2)).start()

@@ -129,14 +129,13 @@ class TestServiceScheduling:
         assert response.padded
         # 5 real regions served at width min(n_max, 5 + 1) = 6.
         assert response.padding_waste == pytest.approx(1 - 5 / 6)
-        # Parity against the direct (shim) path on the same model padded
-        # to the full n_max.
-        from repro.core import batched_embed, make_batch
+        # Parity against a direct eager pass on the same model padded to
+        # the full n_max.
+        from repro.core import make_batch
         batch = make_batch([views], n_max=service.n_max,
                            view_dims=service.view_dims)
-        direct = batched_embed(batch, model=service.model)
-        assert np.abs(response.embeddings
-                      - direct.embeddings[0]).max() <= 1e-8
+        [direct] = service.embed_batch(batch, compiled=False)
+        assert np.abs(response.embeddings - direct).max() <= 1e-8
 
     def test_dtype_mixed_queue_never_co_batched(self, service):
         views = make_views(8, seed=4)

@@ -1,14 +1,11 @@
-"""EmbeddingService lockdown: round-trip parity with the direct engine
-paths, warm-up packs with zero record epochs, provenance, and the
-deprecation shims' signature lock."""
-
-import inspect
+"""EmbeddingService lockdown: round-trip parity between the scheduler and
+the direct batch path, the model's train/eval mode, warm-up packs with
+zero record epochs, and provenance."""
 
 import numpy as np
 import pytest
 
-from repro.core import HAFusionConfig, batched_embed, make_batch, sequential_embed
-from repro.core.engine import _EmbedOptions
+from repro.core import HAFusionConfig, make_batch
 from repro.nn import RECORD_STATS, PlanCache
 from repro.serving import (
     EmbedRequest,
@@ -31,19 +28,18 @@ def ragged_cities():
 
 
 class TestRoundTripParity:
-    """Acceptance criterion: the service round-trips bit-identically
-    (≤1e-8 in float64) with direct ``batched_embed``."""
+    """Acceptance criterion: the scheduler round-trips bit-identically
+    (≤1e-8 in float64) with a direct ``embed_batch``."""
 
     def test_uniform_traffic_is_bitwise_identical(self, cities):
         service = EmbeddingService.build(
             cities, HAFusionConfig(**TINY), seed=11,
             policy=FlushPolicy(max_batch=len(cities), max_wait=60.0))
-        direct = batched_embed(make_batch(cities), model=service.model,
-                               compiled=True, plan_cache=service.plan_cache)
+        direct = service.embed_batch(make_batch(cities))
         responses = service.run([EmbedRequest(vs) for vs in cities])
         # Same composition, same plan, same resident buffers: the
         # scheduler flush IS the direct batched pass.
-        for response, reference in zip(responses, direct.embeddings):
+        for response, reference in zip(responses, direct):
             assert (response.embeddings == reference).all()
 
     def test_ragged_traffic_parity(self, ragged_cities):
@@ -52,10 +48,9 @@ class TestRoundTripParity:
             policy=FlushPolicy(max_batch=8, max_wait=60.0))
         batch = make_batch(ragged_cities, n_max=service.n_max,
                            view_dims=service.view_dims)
-        direct = batched_embed(batch, model=service.model,
-                               compiled=True, plan_cache=service.plan_cache)
+        direct = service.embed_batch(batch)
         responses = service.run([EmbedRequest(vs) for vs in ragged_cities])
-        for response, reference in zip(responses, direct.embeddings):
+        for response, reference in zip(responses, direct):
             assert np.abs(response.embeddings - reference).max() <= 1e-8
 
     def test_eager_and_compiled_service_agree(self, ragged_cities):
@@ -82,29 +77,25 @@ class TestRoundTripParity:
         service.embed_each(batch)
         assert service.model.training is training
 
-
-class TestShims:
-    def test_shim_signatures_identical(self):
-        """The kwargs-drift lock: both embed shims share one signature,
-        and that signature is exactly the _EmbedOptions field list."""
-        batched = inspect.signature(batched_embed)
-        sequential = inspect.signature(sequential_embed)
-        assert batched.parameters == sequential.parameters
-        option_fields = list(_EmbedOptions.__dataclass_fields__)
-        assert list(batched.parameters)[1:] == option_fields
-
-    def test_shims_route_through_the_service(self, cities):
-        service = EmbeddingService.build(cities, HAFusionConfig(**TINY),
-                                         seed=11)
-        batch = make_batch(cities)
-        direct = service.embed_batch(batch, compiled=False)
-        shim = batched_embed(batch, model=service.model)
-        for a, b in zip(direct, shim.embeddings):
-            assert (a == b).all()
-        seq_direct = service.embed_each(batch, compiled=False)
-        seq_shim = sequential_embed(batch, model=service.model)
-        for a, b in zip(seq_direct, seq_shim.embeddings):
-            assert (a == b).all()
+    @pytest.mark.parametrize("compiled", [False, True],
+                             ids=["eager", "record"])
+    def test_raising_forward_keeps_the_models_mode(self, ragged_cities,
+                                                   compiled):
+        """A forward that raises — here on views 3 columns wider than
+        the model's — hands a train-mode model back in train mode, on
+        the eager path and while recording a plan."""
+        service = EmbeddingService.build(ragged_cities, HAFusionConfig(**TINY),
+                                         seed=11, compiled=compiled,
+                                         plan_cache=PlanCache())
+        assert service.model.training
+        wide = make_batch(ragged_cities,
+                          view_dims=[d + 3 for d in service.view_dims])
+        with pytest.raises(ValueError):
+            service.embed_batch(wide)
+        assert service.model.training
+        with pytest.raises(ValueError):
+            service.embed_each(wide)
+        assert service.model.training
 
 
 class TestWarmupPack:

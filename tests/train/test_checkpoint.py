@@ -7,14 +7,13 @@ the final parameters and embeddings must match an uninterrupted run
 crash mid-epoch, crash mid-checkpoint-write (atomicity), corrupted
 newest checkpoint (fallback), SIGTERM preemption, and non-finite
 numerics.  Every crash is scripted by the deterministic
-:class:`repro.train.TrainFaultPlan`, not a racing shell.
+:class:`repro.faults.FaultPlan`, not a racing shell.
 """
 
 import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +23,13 @@ from repro.core import HAFusionConfig, train_hafusion
 from repro.core.engine import BatchedTrainer
 from repro.core.trainer import TrainingHistory, run_training_loop, train_model
 from repro.data import CityConfig, generate_city
+from repro.faults import FaultPlan, InjectedFault
 from repro.nn import SGD, Linear, Parameter
 from repro.train import (
     Checkpointer,
     CheckpointError,
     CheckpointStore,
-    InjectedTrainFault,
     NumericalError,
-    TrainFaultPlan,
-    TrainFaultSpec,
     TrainingPreempted,
     read_checkpoint,
     write_checkpoint,
@@ -62,45 +59,6 @@ def _reference(city, config, compiled):
     model, history = train_hafusion(city, config, seed=SEED,
                                     compiled=compiled)
     return model.embed(city.views()), history
-
-
-# ======================================================================
-# Fault plan semantics
-# ======================================================================
-
-class TestTrainFaultPlan:
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            TrainFaultSpec("explode")
-        with pytest.raises(ValueError, match="when"):
-            TrainFaultSpec("fail", when="sometime")
-        with pytest.raises(ValueError, match="seconds"):
-            TrainFaultSpec("delay", seconds=-1.0)
-
-    def test_selectors_are_conjunctive(self):
-        spec = TrainFaultSpec("fail", epoch=3, attempt=2, when="after_step")
-        assert spec.matches(3, 2, "after_step")
-        assert not spec.matches(3, 2, "before_step")
-        assert not spec.matches(4, 2, "after_step")
-        assert not spec.matches(3, 1, "after_step")
-
-    def test_attempt_defaults_to_first_run_only(self):
-        plan = TrainFaultPlan().fail(epoch=2)
-        with pytest.raises(InjectedTrainFault):
-            plan.apply(2, 1, "before_step")
-        plan.apply(2, 2, "before_step")     # resumed run: no refire
-
-    def test_delay_sleeps(self):
-        plan = TrainFaultPlan().delay(0.05, epoch=1)
-        start = time.perf_counter()
-        plan.apply(1, 1, "before_step")
-        assert time.perf_counter() - start >= 0.05
-
-    def test_plan_is_picklable(self):
-        import pickle
-        plan = TrainFaultPlan().kill(epoch=5).delay(0.1, epoch=2).fail()
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.specs == plan.specs
 
 
 # ======================================================================
@@ -182,9 +140,9 @@ class TestCheckpointStore:
         before = store.path_for(2).read_bytes()
 
         def crash():
-            raise InjectedTrainFault("mid-checkpoint kill")
+            raise InjectedFault("mid-checkpoint kill")
 
-        with pytest.raises(InjectedTrainFault):
+        with pytest.raises(InjectedFault):
             store.save(4, self._payload(4), fault=crash)
         assert store.path_for(2).read_bytes() == before
         assert not store.path_for(4).exists()
@@ -200,8 +158,8 @@ class TestCheckpointStore:
 def test_crash_resume_is_bit_identical(city, config, tmp_path, compiled):
     ref_embeddings, ref_history = _reference(city, config, compiled)
 
-    plan = TrainFaultPlan().fail(epoch=5, when="before_step")
-    with pytest.raises(InjectedTrainFault):
+    plan = FaultPlan().fail("before_step", epoch=5)
+    with pytest.raises(InjectedFault):
         train_hafusion(city, config, seed=SEED, compiled=compiled,
                        checkpoint_dir=tmp_path, checkpoint_every=2,
                        fault_plan=plan)
@@ -228,8 +186,8 @@ def test_corrupted_newest_checkpoint_falls_back_and_converges(
     """Corrupt the newest checkpoint after a crash: resume must fall
     back to the last intact one and still reach the exact reference."""
     ref_embeddings, ref_history = _reference(city, config, compiled)
-    plan = TrainFaultPlan().fail(epoch=7, when="before_step")
-    with pytest.raises(InjectedTrainFault):
+    plan = FaultPlan().fail("before_step", epoch=7)
+    with pytest.raises(InjectedFault):
         train_hafusion(city, config, seed=SEED, compiled=compiled,
                        checkpoint_dir=tmp_path, checkpoint_every=2,
                        fault_plan=plan)
@@ -255,8 +213,8 @@ def test_crash_mid_checkpoint_write_preserves_previous_and_resumes(
     durable but before the atomic rename — epoch 2's checkpoint must
     survive byte-for-byte and carry the resume to the exact reference."""
     ref_embeddings, _ = _reference(city, config, True)
-    plan = TrainFaultPlan().fail(epoch=4, when="mid_checkpoint")
-    with pytest.raises(InjectedTrainFault):
+    plan = FaultPlan().fail("mid_checkpoint", epoch=4)
+    with pytest.raises(InjectedFault):
         train_hafusion(city, config, seed=SEED, compiled=True,
                        checkpoint_dir=tmp_path, checkpoint_every=2,
                        fault_plan=plan)
@@ -276,7 +234,7 @@ def test_sigterm_preemption_checkpoints_and_resumes(city, config, tmp_path):
     loop must finish the epoch, checkpoint, raise TrainingPreempted —
     and the resumed run must land exactly on the reference."""
     ref_embeddings, ref_history = _reference(city, config, False)
-    plan = TrainFaultPlan().preempt(epoch=3, when="after_step")
+    plan = FaultPlan().preempt("after_step", epoch=3)
     with pytest.raises(TrainingPreempted) as excinfo:
         train_hafusion(city, config, seed=SEED, checkpoint_dir=tmp_path,
                        checkpoint_every=0, fault_plan=plan)
@@ -304,10 +262,10 @@ def test_kill_in_subprocess_then_resume(city, config, tmp_path):
 import sys
 from repro.core import HAFusionConfig, train_hafusion
 from repro.data import CityConfig, generate_city
-from repro.train import TrainFaultPlan
+from repro.faults import FaultPlan
 city = generate_city(CityConfig(**{CITY!r}), seed={CITY_SEED})
 config = HAFusionConfig(**{CFG!r})
-plan = TrainFaultPlan().kill(epoch=6, when="before_step")
+plan = FaultPlan().kill("before_step", epoch=6)
 train_hafusion(city, config, seed={SEED}, compiled=True,
                checkpoint_dir=sys.argv[1], checkpoint_every=2,
                fault_plan=plan)
@@ -341,9 +299,9 @@ def test_batched_trainer_crash_resume_bit_identical(tmp_path):
     ref_history = reference.train(epochs=6)
     ref_embeddings = reference.embed()
 
-    plan = TrainFaultPlan().fail(epoch=4, when="before_step")
+    plan = FaultPlan().fail("before_step", epoch=4)
     crashed = BatchedTrainer(cities, config, seed=5, compiled=True)
-    with pytest.raises(InjectedTrainFault):
+    with pytest.raises(InjectedFault):
         crashed.train(epochs=6, checkpoint_dir=tmp_path, checkpoint_every=2,
                       fault_plan=plan)
 
