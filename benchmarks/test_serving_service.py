@@ -1,8 +1,8 @@
 """Serving-service benchmarks: scheduler throughput gates.
 
-Records :func:`repro.serving.serving_scheduler_report` into the
+Records ``bench_utils.serving_scheduler_report`` into the
 pytest-benchmark JSON (``extra_info["scheduler"]``) and asserts the
-ISSUE-5 acceptance gates:
+scheduler's acceptance gates:
 
 - **uniform traffic**: routing full-size requests through the
   shape-bucket scheduler must not cost throughput against the direct
@@ -24,10 +24,10 @@ night-over-night by ``scripts/compare_benchmarks.py``.
 import os
 
 import pytest
+from bench_utils import run_once, serving_scheduler_report
 
 from repro.core import HAFusionConfig
 from repro.data import load_city
-from repro.serving import serving_scheduler_report
 
 
 class TestSchedulerBenchmarks:
@@ -39,8 +39,6 @@ class TestSchedulerBenchmarks:
         down by ``tests/serving/`` in tier-1; only the wall-clock gates
         need timing.
         """
-        from bench_utils import run_once
-
         if not benchmark.enabled:
             pytest.skip("timing-gated benchmark; parity covered in tier-1")
         city = load_city("nyc", seed=7)

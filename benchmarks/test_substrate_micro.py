@@ -4,19 +4,18 @@ These measure the building blocks whose costs dominate the experiment
 pipelines: attention forward/backward at paper-scale (n = 180, d = 144),
 the IntraAFL convolution path, external attention's linear-in-n cost
 (the paper's O(n·d·dm) vs O(n²·d) argument, Sec. VI-F), coordinate-
-descent Lasso, and synthetic-city generation.
+descent Lasso, and synthetic-city generation; plus the compiled
+training-step and compiled serving gates.
 """
 
 import os
 
 import numpy as np
 import pytest
+from bench_utils import (compiled_speedup_report, run_once,
+                         serving_speedup_report)
 
-from repro.core import (
-    HAFusionConfig,
-    compiled_speedup_report,
-    serving_speedup_report,
-)
+from repro.core import HAFusionConfig
 from repro.data import CityConfig, generate_city, load_city
 from repro.eval import Lasso
 from repro.nn import (
@@ -30,12 +29,26 @@ from repro.nn import (
 
 N_REGIONS = 180
 D_MODEL = 144
+ATOL64 = 1e-8
 
 
 @pytest.fixture(scope="module")
 def x_regions():
     rng = np.random.default_rng(0)
     return rng.standard_normal((N_REGIONS, D_MODEL)).astype(np.float32)
+
+
+@pytest.fixture(scope="module")
+def city():
+    return generate_city(CityConfig(name="compiled", n_regions=18,
+                                    total_trips=5000, poi_total=1200), seed=3)
+
+
+@pytest.fixture(scope="module")
+def tiny_config():
+    return HAFusionConfig(d=16, d_prime=8, conv_channels=4, memory_size=6,
+                          num_heads=2, intra_layers=1, inter_layers=1,
+                          fusion_layers=1, epochs=6, dropout=0.1, lr=5e-4)
 
 
 class TestAttentionBenchmarks:
@@ -110,8 +123,6 @@ class TestCompiledStepBenchmarks:
         runners relax the gate through ``REPRO_COMPILED_SPEEDUP_GATE``
         (noisy-neighbor contention can cost 10–20% of wall-clock).
         """
-        from bench_utils import run_once
-
         if not benchmark.enabled:
             # ~1 min of twin nyc_360 training buys nothing under
             # --benchmark-disable: the parity half is already locked down
@@ -143,6 +154,28 @@ class TestCompiledStepBenchmarks:
             f"per epoch)")
 
 
+def test_compiled_speedup_report_fields_and_parity(city, tiny_config):
+    """The benchmark's compiled-step payload on a small city: the twin
+    trajectories agree and the report carries exactly its documented
+    fields (replay is serial, so no backend or threaded-kernel count)."""
+    with pytest.raises(ValueError, match="epochs must be >= 2"):
+        compiled_speedup_report(city, tiny_config, epochs=1)
+    report = compiled_speedup_report(city, tiny_config, seed=7, epochs=3)
+    assert report.keys() == {
+        "grad_buffer_bytes", "grad_buffer_bytes_unpooled",
+        "grad_buffer_reduction", "city", "n_regions", "epochs",
+        "plan_forward_ops", "plan_backward_ops", "record_seconds",
+        "eager_seconds_per_epoch", "compiled_seconds_per_epoch", "speedup",
+        "max_loss_diff", "final_embedding_max_abs_diff", "top_kernels"}
+    assert report["city"] == city.name
+    assert report["n_regions"] == city.n_regions and report["epochs"] == 3
+    assert report["final_embedding_max_abs_diff"] <= ATOL64
+    assert report["max_loss_diff"] <= 1e-6
+    assert report["plan_forward_ops"] > 0 and report["plan_backward_ops"] > 0
+    assert 0.0 < report["grad_buffer_reduction"] < 1.0
+    assert len(report["top_kernels"]) == 5
+
+
 class TestServingBenchmarks:
     def test_serving_speedup_nyc360(self, benchmark):
         """Eager vs compiled ``EmbeddingService.embed_batch`` at paper
@@ -159,8 +192,6 @@ class TestServingBenchmarks:
         ``--benchmark-disable``: the parity and pool halves are already
         locked down by ``tests/core/test_inference_plan.py``.
         """
-        from bench_utils import run_once
-
         if not benchmark.enabled:
             pytest.skip("timing-gated benchmark; parity covered in tier-1")
         city = load_city("nyc_360", seed=7)

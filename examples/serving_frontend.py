@@ -81,38 +81,39 @@ def main() -> None:
     args = parser.parse_args()
     _ARGS.city, _ARGS.seed = args.city, args.seed
 
-    pack_dir = args.pack_dir or tempfile.mkdtemp(prefix="repro-frontend-")
-    print(f"Building warm-up pack for {args.city!r} under {pack_dir} ...")
-    service = build_service(PlanCache(directory=pack_dir))
-    pack = WarmupPack.build(service)
-    # Replaying the burst in-process records its exact co-batch mask
-    # patterns into the pack directory (the fleet then never records)
-    # and gives us the reference the socket path must match bit-for-bit.
-    reference = service.run(make_requests())
-    print(f"  {len(pack.shapes)} grid shapes + the burst's compositions "
-          f"pre-recorded")
+    with tempfile.TemporaryDirectory(prefix="repro-frontend-") as tmp:
+        pack_dir = args.pack_dir or tmp
+        print(f"Building warm-up pack for {args.city!r} under {pack_dir} ...")
+        service = build_service(PlanCache(directory=pack_dir))
+        pack = WarmupPack.build(service)
+        # Replaying the burst in-process records its exact co-batch mask
+        # patterns into the pack directory (the fleet then never records)
+        # and gives us the reference the socket path must match bit-for-bit.
+        reference = service.run(make_requests())
+        print(f"  {len(pack.shapes)} grid shapes + the burst's compositions "
+              f"pre-recorded")
 
-    print(f"\nStarting {args.workers}-worker fleet + socket frontend ...")
-    fleet = ServingFleet(build_service, n_workers=args.workers,
-                         pack_dir=pack_dir)
-    frontend = ServingFrontend(fleet, n_max=service.n_max,
-                               view_dims=service.view_dims,
-                               view_names=service.view_names,
-                               policy=_POLICY)
-    with FrontendThread(frontend) as thread:
-        print(f"  listening on {frontend.host}:{frontend.port}")
-        requests = make_requests()
-        with thread.client() as client:
-            print(f"\nFiring {len(requests)} mixed requests through the "
-                  f"socket ...")
-            responses = client.embed_many(requests)
-            for response in responses[:4]:
-                print(f"  {response.name:10s} n={response.n_regions:3d} "
-                      f"bucket={response.bucket_id} "
-                      f"batch={response.batch_size} "
-                      f"plan={response.plan_event} "
-                      f"|h|={np.linalg.norm(response.embeddings):.2f}")
-            stats = client.stats()
+        print(f"\nStarting {args.workers}-worker fleet + socket frontend ...")
+        fleet = ServingFleet(build_service, n_workers=args.workers,
+                             pack_dir=pack_dir)
+        frontend = ServingFrontend(fleet, n_max=service.n_max,
+                                   view_dims=service.view_dims,
+                                   view_names=service.view_names,
+                                   policy=_POLICY)
+        with FrontendThread(frontend) as thread:
+            print(f"  listening on {frontend.host}:{frontend.port}")
+            requests = make_requests()
+            with thread.client() as client:
+                print(f"\nFiring {len(requests)} mixed requests through the "
+                      f"socket ...")
+                responses = client.embed_many(requests)
+                for response in responses[:4]:
+                    print(f"  {response.name:10s} n={response.n_regions:3d} "
+                          f"bucket={response.bucket_id} "
+                          f"batch={response.batch_size} "
+                          f"plan={response.plan_event} "
+                          f"|h|={np.linalg.norm(response.embeddings):.2f}")
+                stats = client.stats()
 
     latency = stats["latency"]
     print(f"\nFrontend report: {stats['served']} served, "

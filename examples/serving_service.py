@@ -59,53 +59,54 @@ def main() -> None:
     print(f"  done in {history.seconds:.1f}s; final loss "
           f"{history.final_loss:.3f}")
 
-    pack_dir = args.pack_dir or tempfile.mkdtemp(prefix="repro-warmup-")
-    policy = FlushPolicy(max_batch=4, max_wait=60.0)
-    service = EmbeddingService(trainer.model, n_max=trainer.batch.n_max,
-                               view_dims=trainer.batch.view_dims,
-                               view_names=trainer.batch.view_names,
-                               policy=policy,
-                               plan_cache=PlanCache(directory=pack_dir))
+    with tempfile.TemporaryDirectory(prefix="repro-warmup-") as tmp:
+        pack_dir = args.pack_dir or tmp
+        policy = FlushPolicy(max_batch=4, max_wait=60.0)
+        service = EmbeddingService(trainer.model, n_max=trainer.batch.n_max,
+                                   view_dims=trainer.batch.view_dims,
+                                   view_names=trainer.batch.view_names,
+                                   policy=policy,
+                                   plan_cache=PlanCache(directory=pack_dir))
 
-    print(f"\nBuilding warm-up pack under {pack_dir} ...")
-    # The grid covers the scheduler's steady state; playing the ragged
-    # traffic sample through once records its exact mask patterns too,
-    # so the restarted service never records.
-    pack = WarmupPack.build(service, traffic=shards)
-    print(f"  {len(pack.shapes)} (batch, n) shapes pre-recorded: "
-          + ", ".join(f"{s['batch_size']}x{max(s['n_regions'])}"
-                      for s in pack.shapes))
+        print(f"\nBuilding warm-up pack under {pack_dir} ...")
+        # The grid covers the scheduler's steady state; playing the ragged
+        # traffic sample through once records its exact mask patterns too,
+        # so the restarted service never records.
+        pack = WarmupPack.build(service, traffic=shards)
+        print(f"  {len(pack.shapes)} (batch, n) shapes pre-recorded: "
+              + ", ".join(f"{s['batch_size']}x{max(s['n_regions'])}"
+                          for s in pack.shapes))
 
-    print("\nRestarting: fresh service + pack, serving mixed-size traffic ...")
-    fresh = EmbeddingService(trainer.model, n_max=trainer.batch.n_max,
-                             view_dims=trainer.batch.view_dims,
-                             view_names=trainer.batch.view_names,
-                             policy=policy)
-    WarmupPack.load(pack_dir).attach(fresh)
-    RECORD_STATS.reset()
-    requests = [EmbedRequest(vs, name=f"shard-{i}")
-                for i, vs in enumerate(shards)]
-    responses = fresh.run(requests)
-    print(f"  {len(responses)} responses; record epochs paid: "
-          f"{RECORD_STATS.total}")
-    for response in responses[:4]:
-        print(f"  {response.name:10s} n={response.n_regions:3d} "
-              f"bucket={response.bucket_id} batch={response.batch_size} "
-              f"plan={response.plan_event} "
-              f"waste={response.padding_waste:.0%} "
-              f"|h|={np.linalg.norm(response.embeddings):.2f}")
+        print("\nRestarting: fresh service + pack, serving mixed-size traffic ...")
+        fresh = EmbeddingService(trainer.model, n_max=trainer.batch.n_max,
+                                 view_dims=trainer.batch.view_dims,
+                                 view_names=trainer.batch.view_names,
+                                 policy=policy)
+        WarmupPack.load(pack_dir).attach(fresh)
+        RECORD_STATS.reset()
+        requests = [EmbedRequest(vs, name=f"shard-{i}")
+                    for i, vs in enumerate(shards)]
+        responses = fresh.run(requests)
+        print(f"  {len(responses)} responses; record epochs paid: "
+              f"{RECORD_STATS.total}")
+        for response in responses[:4]:
+            print(f"  {response.name:10s} n={response.n_regions:3d} "
+                  f"bucket={response.bucket_id} batch={response.batch_size} "
+                  f"plan={response.plan_event} "
+                  f"waste={response.padding_waste:.0%} "
+                  f"|h|={np.linalg.norm(response.embeddings):.2f}")
 
-    stats = fresh.stats()
-    print(f"\nService report: {stats['regions']} regions in "
-          f"{stats['batches']} batches, padding overhead "
-          f"{stats['padding_overhead']:.0%}, "
-          f"{stats['regions_per_sec']:.0f} regions/s")
-    print(f"  plan cache: {stats['plan_cache']}")
-    for bucket_id, bucket in stats["buckets"].items():
-        print(f"  {bucket_id}: {bucket['requests']} reqs in "
-              f"{bucket['batches']} batches, "
-              f"{bucket['regions_per_sec']:.0f} regions/s, "
-              f"events {bucket['plan_events']}")
+        stats = fresh.stats()
+        print(f"\nService report: {stats['regions']} regions in "
+              f"{stats['batches']} batches, padding overhead "
+              f"{stats['padding_overhead']:.0%}, "
+              f"{stats['regions_per_sec']:.0f} regions/s")
+        print(f"  plan cache: {stats['plan_cache']}")
+        for bucket_id, bucket in stats["buckets"].items():
+            print(f"  {bucket_id}: {bucket['requests']} reqs in "
+                  f"{bucket['batches']} batches, "
+                  f"{bucket['regions_per_sec']:.0f} regions/s, "
+                  f"events {bucket['plan_events']}")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ checkpoint on the next run.
 """
 
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -41,27 +40,27 @@ def main() -> None:
     # A short schedule so the example runs in seconds; the mechanics are
     # identical at 2,500 epochs.
     config = HAFusionConfig.for_city("nyc", epochs=40, conv_channels=4)
-    checkpoint_dir = Path(tempfile.mkdtemp(prefix="hafusion-ckpt-"))
 
     print("== uninterrupted reference ==")
     reference_model, reference = train_hafusion(city, config, seed=7,
                                                 compiled=True, log_every=10)
     reference_embeddings = reference_model.embed(city.views())
 
-    print("== training with checkpoints, crashing at epoch 25 ==")
-    crash = FaultPlan().fail("before_step", epoch=25)
-    try:
-        train_hafusion(city, config, seed=7, compiled=True,
-                       checkpoint_dir=checkpoint_dir, checkpoint_every=10,
-                       fault_plan=crash)
-    except InjectedFault as exc:
-        print(f"crashed as scripted: {exc}")
+    with tempfile.TemporaryDirectory(prefix="hafusion-ckpt-") as checkpoint_dir:
+        print("== training with checkpoints, crashing at epoch 25 ==")
+        crash = FaultPlan().fail("before_step", epoch=25)
+        try:
+            train_hafusion(city, config, seed=7, compiled=True,
+                           checkpoint_dir=checkpoint_dir, checkpoint_every=10,
+                           fault_plan=crash)
+        except InjectedFault as exc:
+            print(f"crashed as scripted: {exc}")
 
-    print("== resuming from disk ==")
-    model, history = train_hafusion(city, config, seed=7, compiled=True,
-                                    checkpoint_dir=checkpoint_dir,
-                                    checkpoint_every=10, resume=True,
-                                    fault_plan=crash, log_every=10)
+        print("== resuming from disk ==")
+        model, history = train_hafusion(city, config, seed=7, compiled=True,
+                                        checkpoint_dir=checkpoint_dir,
+                                        checkpoint_every=10, resume=True,
+                                        fault_plan=crash, log_every=10)
     report = history.resume_report
     print(f"resumed at epoch {report['resume_epoch']} "
           f"(attempt {report['attempt']}), wall-clock saved: "

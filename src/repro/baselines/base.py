@@ -64,10 +64,8 @@ class RegionEmbeddingBaseline(Module):
 
     def embed(self) -> np.ndarray:
         """Frozen embeddings for downstream evaluation."""
-        self.eval()
-        with no_grad():
+        with self.evaluating(), no_grad():
             h = self.forward()
-        self.train()
         return h.data.copy()
 
 

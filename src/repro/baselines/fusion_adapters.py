@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.dafusion import DAFusion
-from ..nn import Linear, Tensor
+from ..nn import Tensor, no_grad
 from .base import RegionEmbeddingBaseline
 
 __all__ = ["DAFusionAdapter"]
@@ -68,14 +68,11 @@ class DAFusionAdapter(RegionEmbeddingBaseline):
             self.baseline.fuse = original
 
     def embed(self) -> np.ndarray:
-        self.eval()
-        original = self.baseline.fuse
-        self.baseline.fuse = self.fuse
-        try:
-            from ..nn import no_grad
-            with no_grad():
+        with self.evaluating(), no_grad():
+            original = self.baseline.fuse
+            self.baseline.fuse = self.fuse
+            try:
                 h = self.baseline.forward()
-        finally:
-            self.baseline.fuse = original
-        self.train()
+            finally:
+                self.baseline.fuse = original
         return h.data.copy()

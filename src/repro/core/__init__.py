@@ -24,9 +24,6 @@ from .engine import (
     BatchedTrainer,
     CityBatch,
     build_batched_model,
-    compiled_speedup_report,
-    engine_speedup_report,
-    serving_speedup_report,
     make_batch,
     shard_viewset,
 )
@@ -83,7 +80,4 @@ __all__ = [
     "shard_viewset",
     "build_batched_model",
     "BatchedTrainer",
-    "engine_speedup_report",
-    "compiled_speedup_report",
-    "serving_speedup_report",
 ]

@@ -16,15 +16,17 @@ Python-level loop. This module packages that capability:
   (locked to ≤1e-8 in ``tests/core/test_batched_parity.py``), either
   eagerly or by replaying a forward-only
   :class:`~repro.nn.compile.InferencePlan` from a
-  :class:`~repro.nn.plancache.PlanCache` (:func:`serving_speedup_report`
-  measures ≈2.9x regions/sec over the eager tape on nyc_360);
+  :class:`~repro.nn.plancache.PlanCache`;
 - :class:`BatchedTrainer` trains one shared-weight model on a city batch
   under the paper's multi-task objective, averaged over cities;
 - :func:`shard_viewset` splits one large city into region shards so its
   quadratic attention cost drops to ``O(n²/b)`` per shard while the batch
-  axis keeps the hardware busy;
-- :func:`engine_speedup_report` measures batched-vs-sequential speedup
-  and parity (recorded by ``benchmarks/test_fig7_scalability.py``).
+  axis keeps the hardware busy.
+
+``benchmarks/test_fig7_scalability.py`` gates the batched pass's speedup
+over the per-city loop, and ``benchmarks/test_substrate_micro.py`` the
+compiled serving path's over the eager tape (≈2.9x regions/sec on
+nyc_360); their payload builders live in ``benchmarks/bench_utils.py``.
 
 Padding exactness: padded feature rows are zero, so they project to zero
 scores everywhere a sum crosses regions; attention key masks make padded
@@ -40,7 +42,6 @@ order).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -49,7 +50,6 @@ import numpy as np
 from ..data.city import SyntheticCity
 from ..data.features import ViewSet
 from ..nn import Adam, CompiledStep, Tensor
-from ..nn.plancache import PlanCache
 from .config import HAFusionConfig
 from .losses import (
     batched_feature_similarity_loss,
@@ -59,12 +59,7 @@ from .losses import (
 )
 from ..train.checkpoint import Checkpointer
 from .model import HAFusion
-from .trainer import (
-    TrainingHistory,
-    compiled_optimizer_step,
-    optimizer_step,
-    run_training_loop,
-)
+from .trainer import TrainingHistory, optimizer_step, run_training_loop
 
 __all__ = [
     "CityBatch",
@@ -72,9 +67,6 @@ __all__ = [
     "shard_viewset",
     "build_batched_model",
     "BatchedTrainer",
-    "engine_speedup_report",
-    "compiled_speedup_report",
-    "serving_speedup_report",
 ]
 
 CityLike = Union[SyntheticCity, ViewSet]
@@ -346,187 +338,3 @@ class BatchedTrainer:
         from ..serving import EmbeddingService
         return EmbeddingService(self.model, compiled=False).embed_batch(
             self.batch)
-
-
-def engine_speedup_report(cities: "Sequence[CityLike] | CityBatch",
-                          config: HAFusionConfig | None = None, seed: int = 0,
-                          repeats: int = 3) -> dict:
-    """Time batched vs. sequential inference over the same shared model.
-
-    Returns a JSON-ready dict with the best-of-``repeats`` wall-clock of
-    each path, their speedup, and the max absolute embedding difference —
-    the number the fig7 benchmark records and asserts on.
-    """
-    from ..serving import EmbeddingService
-    batch = _as_batch(cities)
-    model = build_batched_model(batch, config, seed)
-    service = EmbeddingService(model, compiled=False)
-    # Warm-up (first call pays numpy/BLAS setup) + parity check.
-    batched = service.embed_batch(batch)
-    sequential = service.embed_each(batch)
-    max_abs_diff = max(float(np.abs(b - s).max())
-                       for b, s in zip(batched, sequential))
-    batched_seconds = min(
-        _timed(service.embed_batch, batch) for _ in range(repeats))
-    sequential_seconds = min(
-        _timed(service.embed_each, batch) for _ in range(repeats))
-    return {
-        "batch_size": batch.batch_size,
-        "n_max": batch.n_max,
-        "n_regions": batch.n_regions,
-        "padded": batch.is_padded,
-        "repeats": repeats,
-        "sequential_seconds": sequential_seconds,
-        "batched_seconds": batched_seconds,
-        "speedup": sequential_seconds / batched_seconds,
-        "max_abs_diff": max_abs_diff,
-    }
-
-
-def _timed(func, *args) -> float:
-    start = time.perf_counter()
-    func(*args)
-    return time.perf_counter() - start
-
-
-def compiled_speedup_report(city: CityLike,
-                            config: HAFusionConfig | None = None,
-                            seed: int = 7, epochs: int = 4) -> dict:
-    """Time eager vs compiled training steps on identical twin models.
-
-    Two models are built from the same seed (identical weights and rng
-    streams); one trains eagerly, the other through the compiled
-    record/replay executor.  Per-epoch wall-clock is measured for both
-    (the compiled side's recording epoch is reported separately — the
-    speedup compares an eager step against a plan *replay*), together
-    with the per-epoch loss differences and the final-embedding max
-    absolute difference.  This is the JSON payload the substrate
-    benchmark records and gates (≥2x, ≤1e-8 in float64);
-    ``top_kernels`` are the five hottest kernels of a
-    :meth:`~repro.nn.compile.Plan.profile` taken after all timing.
-    """
-    if epochs < 2:
-        raise ValueError(f"epochs must be >= 2 (the first compiled epoch "
-                         f"records; at least one replay is timed), got {epochs}")
-    views = _as_viewset(city)
-    config = config if config is not None else HAFusionConfig()
-    mobility_view = (views.names.index("mobility")
-                     if "mobility" in views.names else None)
-
-    def build() -> HAFusion:
-        return HAFusion(views.dims(), views.n_regions, config,
-                        mobility_view=mobility_view,
-                        rng=np.random.default_rng(seed))
-
-    eager_model = build()
-    parameters = eager_model.parameters()
-    optimizer = Adam(parameters, lr=config.lr)
-    eager_losses, eager_times = [], []
-    for _ in range(epochs):
-        start = time.perf_counter()
-        eager_losses.append(optimizer_step(
-            optimizer, lambda: eager_model.loss(views), parameters,
-            config.grad_clip))
-        eager_times.append(time.perf_counter() - start)
-
-    compiled_model = build()
-    parameters = compiled_model.parameters()
-    optimizer = Adam(parameters, lr=config.lr)
-    step = CompiledStep(lambda: compiled_model.loss(views))
-    compiled_losses, replay_times = [], []
-    start = time.perf_counter()
-    compiled_losses.append(compiled_optimizer_step(
-        optimizer, step, parameters, config.grad_clip))
-    record_seconds = time.perf_counter() - start
-    for _ in range(epochs - 1):
-        start = time.perf_counter()
-        compiled_losses.append(compiled_optimizer_step(
-            optimizer, step, parameters, config.grad_clip))
-        replay_times.append(time.perf_counter() - start)
-
-    max_loss_diff = max(abs(e - c)
-                        for e, c in zip(eager_losses, compiled_losses))
-    embedding_diff = float(np.abs(eager_model.embed(views)
-                                  - compiled_model.embed(views)).max())
-    eager_seconds = min(eager_times)
-    compiled_seconds = min(replay_times)
-    plan = step.plan
-    buffers = plan.buffer_report()
-    # Last: the profile replays update the gradient buffers, which is
-    # fine only because every comparison has already been taken.
-    prof = plan.profile(replays=3)
-    return {
-        "grad_buffer_bytes": buffers["grad_buffer_bytes"],
-        "grad_buffer_bytes_unpooled": buffers["grad_buffer_bytes_unpooled"],
-        "grad_buffer_reduction": buffers["grad_buffer_reduction"],
-        "city": getattr(city, "name", "viewset"),
-        "n_regions": views.n_regions,
-        "epochs": epochs,
-        "plan_forward_ops": plan.num_forward_ops,
-        "plan_backward_ops": plan.num_backward_ops,
-        "record_seconds": record_seconds,
-        "eager_seconds_per_epoch": eager_seconds,
-        "compiled_seconds_per_epoch": compiled_seconds,
-        "speedup": eager_seconds / compiled_seconds,
-        "max_loss_diff": max_loss_diff,
-        "final_embedding_max_abs_diff": embedding_diff,
-        "top_kernels": prof["top_kernels"],
-    }
-
-
-def serving_speedup_report(cities: "Sequence[CityLike] | CityBatch",
-                           config: HAFusionConfig | None = None,
-                           seed: int = 7, repeats: int = 5,
-                           plan_cache: PlanCache | None = None) -> dict:
-    """Time eager vs compiled ``EmbeddingService.embed_batch`` over one
-    shared model.
-
-    The serving scenario of the ROADMAP north star: a fixed model answers
-    repeated embed requests of one shape.  The eager side rebuilds the
-    Python tape per request; the compiled side replays the cached
-    :class:`~repro.nn.compile.InferencePlan` (the one record epoch is
-    reported separately and excluded from the replay timing, exactly as
-    a warm server would run).  Reports best-of-``repeats`` wall-clocks,
-    regions/sec for both paths, max absolute embedding difference, and
-    the plan's activation-pool byte accounting — the JSON payload the
-    substrate benchmark records and gates (≥2x, ≤1e-8 in float64).
-    """
-    from ..serving import EmbeddingService
-    batch = _as_batch(cities)
-    model = build_batched_model(batch, config, seed)
-    cache = plan_cache if plan_cache is not None else PlanCache()
-    service = EmbeddingService(model, plan_cache=cache)
-    # Warm-up (numpy/BLAS setup + the record epoch) and parity check.
-    eager = service.embed_batch(batch, compiled=False)
-    start = time.perf_counter()
-    compiled = service.embed_batch(batch, compiled=True)
-    record_seconds = time.perf_counter() - start
-    max_abs_diff = max(float(np.abs(e - c).max())
-                       for e, c in zip(eager, compiled))
-    eager_seconds = min(
-        _timed(service.embed_batch, batch, False) for _ in range(repeats))
-    compiled_seconds = min(
-        _timed(service.embed_batch, batch, True) for _ in range(repeats))
-    plan = service.plan_for(batch)
-    buffers = plan.buffer_report()
-    total_regions = sum(batch.n_regions)
-    return {
-        "batch_size": batch.batch_size,
-        "n_max": batch.n_max,
-        "n_regions_total": total_regions,
-        "padded": batch.is_padded,
-        "repeats": repeats,
-        "record_seconds": record_seconds,
-        "eager_seconds": eager_seconds,
-        "compiled_seconds": compiled_seconds,
-        "speedup": eager_seconds / compiled_seconds,
-        "eager_regions_per_sec": total_regions / eager_seconds,
-        "compiled_regions_per_sec": total_regions / compiled_seconds,
-        "max_abs_diff": max_abs_diff,
-        "plan_forward_ops": plan.num_forward_ops,
-        "plan_fused_chains": plan.num_fused_chains,
-        "slot_bytes": buffers["slot_bytes"],
-        "slot_bytes_unpooled": buffers["slot_bytes_unpooled"],
-        "slot_reduction": buffers["slot_reduction"],
-        "cache_stats": cache.stats(),
-    }

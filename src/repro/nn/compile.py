@@ -54,6 +54,7 @@ the record epoch entirely.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -188,6 +189,30 @@ def record_forward(fn: Callable[[], Tensor]) -> tuple[Tensor, list[Tensor]]:
         output = fn()
     RECORD_STATS.inference_records += 1
     return output, nodes
+
+
+def _reachable(root: Tensor, nodes: list[Tensor],
+               message: str = "output depends on graph nodes created outside "
+                              "the recorded forward pass; build the whole "
+                              "forward inside the recording",
+               ) -> dict[int, Tensor]:
+    """``root``'s graph, keyed by ``id`` in depth-first discovery order.
+
+    Raises ``RuntimeError(message)`` when a computed node of it is not in
+    ``nodes``, i.e. was built outside the recording and cannot replay.
+    """
+    recorded = {id(n) for n in nodes}
+    reachable: dict[int, Tensor] = {}
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        if id(t) in reachable:
+            continue
+        reachable[id(t)] = t
+        if t._prev and id(t) not in recorded:
+            raise RuntimeError(message)
+        stack.extend(t._prev)
+    return reachable
 
 
 def _mark(written: set[int], key: int) -> bool:
@@ -1973,6 +1998,34 @@ def _fusion_bytes(fusion) -> int:
     return total
 
 
+def _lower_forward(nodes: list[Tensor], fusions: list, scratch: dict,
+                   inference: bool = False):
+    """Forward kernels for ``nodes`` in order, with their ``(tag, bytes)``
+    profile meta; each fused chain lowers to one kernel at its head."""
+    heads = {id(f.head): f for f in fusions}
+    fused_away = {id(t) for f in fusions for t in f.fused_away}
+    ops: list[Callable[[], None]] = []
+    meta: list[tuple[str, int]] = []
+    for node in nodes:
+        if id(node) in fused_away:
+            continue
+        fusion = heads.get(id(node))
+        if fusion is not None:
+            fn, tag = _fusion_forward(fusion, scratch, inference)
+            ops.append(fn)
+            meta.append((tag, _fusion_bytes(fusion)))
+            continue
+        builder = _FWD.get(node._op)
+        if builder is None:
+            raise NotImplementedError(
+                f"op {node._op!r} has no compiled forward kernel")
+        fn = builder(node, scratch)
+        if fn is not None:
+            ops.append(fn)
+            meta.append((f"F:{node._op}", _node_bytes(node)))
+    return ops, meta
+
+
 def _profile_ops(ops, meta, stats, kernels) -> float:
     """Time one replay of ``ops`` kernel-by-kernel into ``stats`` (keyed
     by op tag) and ``kernels`` (keyed by kernel index within the list)."""
@@ -2150,27 +2203,15 @@ class Plan:
                  pool_gradients: bool = True):
         if not loss.requires_grad or loss.size != 1:
             raise ValueError("plan requires a scalar loss with requires_grad")
-        recorded = {id(n) for n in nodes}
         # Reachable-from-loss subgraph (the part that owes gradients).
-        reachable: dict[int, Tensor] = {}
-        stack = [loss]
-        while stack:
-            t = stack.pop()
-            if id(t) in reachable:
-                continue
-            reachable[id(t)] = t
-            if t._prev and id(t) not in recorded:
-                raise RuntimeError(
-                    "loss depends on graph nodes created outside the "
-                    "recorded step; build all differentiable state inside "
-                    "the loss function")
-            stack.extend(t._prev)
+        reachable = _reachable(
+            loss, nodes, "loss depends on graph nodes created outside the "
+            "recorded step; build all differentiable state inside the loss "
+            "function")
 
         self._loss_data = loss.data
         region_fusions, ln_fusions = _find_fusions(nodes)
         fusions = region_fusions + ln_fusions
-        fuse_fwd_head = {id(f.head): f for f in fusions}
-        fuse_fwd_skip = {id(t) for f in fusions for t in f.fused_away}
         fuse_bwd_head = {id(f.bwd_head): f for f in fusions}
         fuse_bwd_skip = {id(t) for f in fusions for t in f.bwd_fused_away}
         # The per-channel chain kernels read contiguous channel-first
@@ -2195,25 +2236,8 @@ class Plan:
         build = _BuildContext()
         scratch: dict = {_BuildContext.KEY: build}
         self._build = build
-        self._forward_ops: list[Callable[[], None]] = []
-        self._forward_meta: list[tuple[str, int]] = []
-        for node in nodes:
-            if id(node) in fuse_fwd_skip:
-                continue
-            fusion = fuse_fwd_head.get(id(node))
-            if fusion is not None:
-                fn, tag = _fusion_forward(fusion, scratch)
-                self._forward_ops.append(fn)
-                self._forward_meta.append((tag, _fusion_bytes(fusion)))
-                continue
-            builder = _FWD.get(node._op)
-            if builder is None:
-                raise NotImplementedError(
-                    f"op {node._op!r} has no compiled forward kernel")
-            fn = builder(node, scratch)
-            if fn is not None:
-                self._forward_ops.append(fn)
-                self._forward_meta.append((f"F:{node._op}", _node_bytes(node)))
+        self._forward_ops, self._forward_meta = _lower_forward(
+            nodes, fusions, scratch)
 
         self._backward_ops: list[Callable[[], None]] = []
         self._backward_meta: list[tuple[str, int]] = []
@@ -2246,9 +2270,7 @@ class Plan:
                        if t.requires_grad and not t._prev]
         self._param_buffers = [(t, t.data) for t, _ in self.leaves
                                if isinstance(t, Parameter)]
-        self.op_counts: dict[str, int] = {}
-        for node in nodes:
-            self.op_counts[node._op] = self.op_counts.get(node._op, 0) + 1
+        self.op_counts = dict(Counter(node._op for node in nodes))
 
         # Optimizer folding (see fuse_optimizer): empty until requested.
         self._update_ops: list[Callable[[], None]] = []
@@ -2528,20 +2550,7 @@ class InferencePlan:
                  pool_buffers: bool = True):
         if not output._prev:
             raise ValueError("inference plan output must be a computed node")
-        recorded = {id(n) for n in nodes}
-        reachable: dict[int, Tensor] = {}
-        stack = [output]
-        while stack:
-            t = stack.pop()
-            if id(t) in reachable:
-                continue
-            reachable[id(t)] = t
-            if t._prev and id(t) not in recorded:
-                raise RuntimeError(
-                    "output depends on graph nodes created outside the "
-                    "recorded forward pass; build the whole forward inside "
-                    "the recording")
-            stack.extend(t._prev)
+        reachable = _reachable(output, nodes)
         for t in inputs:
             if t._prev:
                 raise ValueError("plan inputs must be leaf tensors")
@@ -2552,8 +2561,6 @@ class InferencePlan:
         # are computed over live nodes only — dead branches never replay.
         region_fusions, ln_fusions = _find_fusions(order)
         fusions = region_fusions + ln_fusions
-        fuse_fwd_head = {id(f.head): f for f in fusions}
-        fuse_fwd_skip = {id(t) for f in fusions for t in f.fused_away}
         skip_alloc = {id(t) for f in fusions for t in f.inference_dead}
         # What a fused kernel writes is born when it runs, at the head.
         pos = {id(n): i for i, n in enumerate(order)}
@@ -2579,31 +2586,12 @@ class InferencePlan:
         build = _BuildContext()
         scratch: dict = {_BuildContext.KEY: build}
         self._build = build
-        self._forward_ops: list[Callable[[], None]] = []
-        self._forward_meta: list[tuple[str, int]] = []
-        for node in order:
-            if id(node) in fuse_fwd_skip:
-                continue
-            fusion = fuse_fwd_head.get(id(node))
-            if fusion is not None:
-                fn, tag = _fusion_forward(fusion, scratch, inference=True)
-                self._forward_ops.append(fn)
-                self._forward_meta.append((tag, _fusion_bytes(fusion)))
-                continue
-            builder = _FWD.get(node._op)
-            if builder is None:
-                raise NotImplementedError(
-                    f"op {node._op!r} has no compiled forward kernel")
-            fn = builder(node, scratch)
-            if fn is not None:
-                self._forward_ops.append(fn)
-                self._forward_meta.append((f"F:{node._op}", _node_bytes(node)))
+        self._forward_ops, self._forward_meta = _lower_forward(
+            order, fusions, scratch, inference=True)
 
         self.num_fused_chains = len(region_fusions)
         self.num_fused_layernorms = len(ln_fusions)
-        self.op_counts: dict[str, int] = {}
-        for node in order:
-            self.op_counts[node._op] = self.op_counts.get(node._op, 0) + 1
+        self.op_counts = dict(Counter(node._op for node in order))
         self._inputs = list(inputs)
         self._input_arrays = [t.data for t in inputs]
         self._output = output.data

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .compile import InferencePlan
+from .compile import InferencePlan, _reachable
 from .tensor import Tensor
 
 __all__ = [
@@ -150,19 +150,7 @@ def build_inference_spec(key: tuple, output: Tensor, nodes: list[Tensor],
     :class:`~repro.nn.compile.InferencePlan` construction rebinds node
     buffers (shapes/dtypes are read from ``node.data``).
     """
-    recorded = {id(n) for n in nodes}
-    reachable: set[int] = set()
-    stack = [output]
-    while stack:
-        t = stack.pop()
-        if id(t) in reachable:
-            continue
-        reachable.add(id(t))
-        if t._prev and id(t) not in recorded:
-            raise RuntimeError(
-                "output depends on graph nodes created outside the "
-                "recorded forward pass")
-        stack.extend(t._prev)
+    reachable = _reachable(output, nodes)
     order = [n for n in nodes if id(n) in reachable]
 
     param_pos = {id(p): i for i, p in enumerate(params)}

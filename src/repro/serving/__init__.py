@@ -25,15 +25,14 @@ The production-facing API over everything the execution engine
 - :class:`AdmissionError` — the typed submit-time rejection
   (``oversize`` / ``view_mismatch`` / ``overload``) — and
   :class:`ServingUnavailable`, its post-admission counterpart (fleet
-  down, retries exhausted, deadline missed);
-- :func:`serving_scheduler_report` — the throughput benchmark payload
-  (uniform traffic vs the direct batched path, ragged traffic vs
-  sequential serving).
+  down, retries exhausted, deadline missed).
 
 The chaos tests script worker crashes with :class:`repro.faults.FaultPlan`
 (``fault_plan=`` on :class:`ServingFleet`).  The experiment runners'
 :func:`repro.experiments.common.compute_embeddings` embeds every trained
 HAFusion through one :class:`EmbedRequest` to an :class:`EmbeddingService`.
+``benchmarks/test_serving_service.py`` gates the scheduler's throughput
+against the direct batched path and against sequential serving.
 """
 
 from .api import (
@@ -51,7 +50,6 @@ from .api import (
 )
 from .fleet import FleetResult, ServingFleet
 from .frontend import FrontendClient, FrontendThread, ServingFrontend
-from .report import serving_scheduler_report
 from .scheduler import BucketKey, ShapeBucketScheduler
 from .service import EmbeddingService
 from .warmup import WarmupPack, default_shape_grid
@@ -78,5 +76,4 @@ __all__ = [
     "ServingFrontend",
     "WarmupPack",
     "default_shape_grid",
-    "serving_scheduler_report",
 ]

@@ -89,6 +89,35 @@ class AdmissionError(ValueError):
         self.retry_after = retry_after
 
 
+def check_admission(request: "EmbedRequest", n_max: int,
+                    view_dims: Sequence[int] | None,
+                    view_names: tuple[str, ...] | None) -> tuple[str, ...]:
+    """The service's and the frontend's submit-time gates: region count,
+    view widths (skipped when ``view_dims`` is None) and view names.
+
+    Returns the view names to pin.  With none pinned the first request's
+    are taken, so a later request with other names is rejected here
+    rather than by ``make_batch`` after its co-batch was popped.
+    """
+    if request.n_regions > n_max:
+        raise AdmissionError(
+            f"request {request.name!r} has {request.n_regions} regions; "
+            f"this service is built for n_max={n_max}", reason="oversize")
+    dims = request.views.dims()
+    if view_dims is not None and (
+            len(dims) != len(view_dims)
+            or any(d > cap for d, cap in zip(dims, view_dims))):
+        raise AdmissionError(
+            f"request view widths {dims} incompatible with the service "
+            f"model's {list(view_dims)}", reason="view_mismatch")
+    names = request.views.names if view_names is None else view_names
+    if request.views.names != names:
+        raise AdmissionError(
+            f"request views {request.views.names} != service views {names}",
+            reason="view_mismatch")
+    return names
+
+
 class ServingUnavailable(RuntimeError):
     """A request that was *admitted* but could not be served.
 

@@ -77,6 +77,7 @@ from .api import (
     EmbedTicket,
     FlushPolicy,
     ServingUnavailable,
+    check_admission,
     request_from_wire,
     request_to_wire,
     response_from_wire,
@@ -512,24 +513,8 @@ class ServingFrontend:
 
     def _admit(self, request: EmbedRequest) -> None:
         """The service's submit-time gates plus the queue-depth bound."""
-        if request.n_regions > self.n_max:
-            raise AdmissionError(
-                f"request {request.name!r} has {request.n_regions} regions; "
-                f"this deployment serves n_max={self.n_max}",
-                reason="oversize")
-        dims = request.views.dims()
-        if self.view_dims is not None and (
-                len(dims) != len(self.view_dims)
-                or any(d > cap for d, cap in zip(dims, self.view_dims))):
-            raise AdmissionError(
-                f"request view widths {dims} incompatible with the serving "
-                f"model's {self.view_dims}", reason="view_mismatch")
-        if self.view_names is None:
-            self.view_names = request.views.names
-        if request.views.names != self.view_names:
-            raise AdmissionError(
-                f"request views {request.views.names} != serving views "
-                f"{self.view_names}", reason="view_mismatch")
+        self.view_names = check_admission(request, self.n_max,
+                                          self.view_dims, self.view_names)
         key = self._scheduler.key_for_request(request)   # oversize gate too
         depth_cap = self._effective_queue_depth()
         if self._scheduler.depth(key) >= depth_cap:

@@ -43,11 +43,11 @@ from ..nn import Tensor, get_default_dtype, no_grad
 from ..nn.compile import InferencePlan, record_forward
 from ..nn.plancache import PlanCache, default_plan_cache, inference_plan_key
 from .api import (
-    AdmissionError,
     EmbedRequest,
     EmbedResponse,
     EmbedTicket,
     FlushPolicy,
+    check_admission,
 )
 from .scheduler import BucketKey, ShapeBucketScheduler
 
@@ -351,30 +351,6 @@ class EmbeddingService:
         """
         return min(self.n_max, max(n_regions) + 1)
 
-    def _check_request(self, request: EmbedRequest) -> None:
-        if request.n_regions > self.n_max:
-            raise AdmissionError(
-                f"request {request.name!r} has {request.n_regions} regions; "
-                f"this service is built for n_max={self.n_max}",
-                reason="oversize")
-        dims = request.views.dims()
-        if len(dims) != len(self.view_dims) or any(
-                d > cap for d, cap in zip(dims, self.view_dims)):
-            raise AdmissionError(
-                f"request view widths {dims} incompatible with the service "
-                f"model's {self.view_dims}", reason="view_mismatch")
-        if self.view_names is None:
-            # A service built straight from a model doesn't know its view
-            # names; the first request fixes them, so a later request
-            # with different names can never be co-batched with it (the
-            # flush's make_batch would reject the mix after the tickets
-            # were already popped).
-            self.view_names = request.views.names
-        if request.views.names != self.view_names:
-            raise AdmissionError(
-                f"request views {request.views.names} != service views "
-                f"{self.view_names}", reason="view_mismatch")
-
     def submit(self, request: EmbedRequest,
                now: float | None = None) -> EmbedTicket:
         """Queue a request; may trigger size- and age-based flushes.
@@ -385,7 +361,8 @@ class EmbeddingService:
         anything is queued — the queues stay clean.
         """
         scheduler = self._require_scheduler()
-        self._check_request(request)
+        self.view_names = check_admission(request, self.n_max,
+                                          self.view_dims, self.view_names)
         now = self.clock() if now is None else now
         ticket = EmbedTicket(request, "", now)
         # enqueue() computes the bucket key before touching its queue, so

@@ -204,6 +204,17 @@ class TestDAFusionAdapter:
         assert adapter.baseline.fuse == original
 
 
+@pytest.mark.parametrize("wrap", [False, True], ids=["mvure", "adapter"])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_embed_restores_training_mode(city, wrap, training):
+    model = MVURE(city, d=16, seed=1)
+    if wrap:
+        model = DAFusionAdapter(model)
+    model.train(training)
+    model.embed()
+    assert model.training is training
+
+
 class TestTrainBaseline:
     def test_epoch_budget_scaling(self, city):
         model = RegionDCL(city, d=16, seed=1)
