@@ -2,7 +2,9 @@
 builders of the payloads the timing gates assert on and record in
 ``extra_info``, where ``scripts/compare_benchmarks.py`` diffs their
 ``speedup`` and ``*regions_per_sec`` gauges night over night.  Every
-wall-clock is a best-of-N (:func:`best_of`) taken after a warm-up call.
+wall-clock is a best-of-N (:func:`best_of`) taken after a warm-up call;
+the scheduler report times the two sides of each ratio alternately
+(:func:`best_of_each`).
 """
 
 import time
@@ -29,11 +31,19 @@ def run_once(benchmark, func, *args, **kwargs):
 
 def best_of(repeats, func, *args) -> float:
     """Shortest wall-clock seconds of ``repeats`` calls of ``func(*args)``."""
-    best = float("inf")
+    return best_of_each(repeats, lambda: func(*args))[0]
+
+
+def best_of_each(repeats, *funcs) -> list[float]:
+    """Shortest wall-clock seconds of ``repeats`` calls of each of
+    ``funcs``, called in turn within each round, so that a burst of host
+    load falls on every side of a ratio instead of one side's block."""
+    best = [float("inf")] * len(funcs)
     for _ in range(repeats):
-        start = time.perf_counter()
-        func(*args)
-        best = min(best, time.perf_counter() - start)
+        for side, func in enumerate(funcs):
+            start = time.perf_counter()
+            func()
+            best[side] = min(best[side], time.perf_counter() - start)
     return best
 
 
@@ -209,8 +219,8 @@ def serving_scheduler_report(views, config, seed, max_batch, uniform_batch,
 
     service.embed_batch(direct_batch)          # record epoch (excluded)
     scheduler_uniform()                        # warm the flush path
-    direct_seconds = best_of(repeats, service.embed_batch, direct_batch)
-    scheduler_seconds = best_of(repeats, scheduler_uniform)
+    direct_seconds, scheduler_seconds = best_of_each(
+        repeats, lambda: service.embed_batch(direct_batch), scheduler_uniform)
     uniform_regions = uniform_batch * views.n_regions
     uniform = {
         "n_regions": views.n_regions,
@@ -236,8 +246,8 @@ def serving_scheduler_report(views, config, seed, max_batch, uniform_batch,
     responses = scheduler_ragged()
     max_abs_diff = max(float(np.abs(r.embeddings - s).max())
                        for r, s in zip(responses, sequential))
-    sequential_seconds = best_of(repeats, ragged.embed_each, batch_all)
-    scheduler_seconds = best_of(repeats, scheduler_ragged)
+    sequential_seconds, scheduler_seconds = best_of_each(
+        repeats, lambda: ragged.embed_each(batch_all), scheduler_ragged)
     total_regions = sum(vs.n_regions for vs in traffic)
     stats = ragged.stats()
     return {

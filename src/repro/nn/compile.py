@@ -26,10 +26,11 @@ allocations per epoch.  This module removes that cost:
 Replay arithmetic is operation-for-operation equivalent to the eager
 tape's (locked down by ``tests/core/test_compiled_parity.py`` and the
 compiled golden-trajectory test); the admissible differences are the
-*order* in which fan-out gradients are accumulated and the pooled-tap
-re-association inside the fused RegionSA chain kernels — pure
-float-rounding effects, which is why parity is ≤1e-8 in float64 rather
-than bit-exact.
+*order* in which fan-out gradients are accumulated and the
+re-associations inside the fused RegionSA chain kernels (pooled taps, a
+gate softmax without its row max under a proven bound, row sums on BLAS)
+— pure float-rounding effects, which is why parity is ≤1e-8 in float64
+rather than bit-exact.
 
 Contract: a compiled step assumes a *static* step — constant inputs and
 loss targets, with parameters the only state changing between replays
@@ -53,6 +54,7 @@ the record epoch entirely.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from typing import Callable, Hashable, NamedTuple, Sequence
@@ -1141,12 +1143,41 @@ def _bwd_avgpool2d(node, grads, written, scratch):
 # adjoint, then forms [dW | db] = dA'·Qᵀ / 9 and dA as the tap builder's
 # adjoint of Wᵀ·dA' / 9.
 #
+# Per channel the forward makes five passes over the n×n plane when a
+# bound allows it, seven otherwise.  A textbook softmax subtracts each
+# row's max before exp so that exp cannot overflow; the kernel skips
+# that row max and subtract when a bound on A' proves them unneeded.
+# Each tap is a window sum of nine zero-padded cells of A, so every conv
+# output obeys |conv_ch| ≤ max|A|·Σ_k|W_ch,k| + |b_ch|, and the pool, a
+# mean of nine conv cells that reads padding as zeros, cannot exceed
+# that: B = max_ch(max|A|·Σ_k|W_ch,k| + |b_ch|) bounds |A'| (_gate_bound,
+# an O(c) pass over the weights plus one max|A| pass, every replay).  A
+# mask raises B by its largest entry and by minus the smallest of its
+# per-item key maxima, both 0 for the engine's 0 / MASK_NEG masks.  The
+# limit on B (_unshifted_exp_limit) is the largest value with
+# width·e^B ≤ finfo.max / 2, the factor 2 being headroom for the
+# rounding of exp and of the row sum, and e^-B ≥ finfo.tiny: ≈82.8 in
+# float32 and ≈703.9 in float64 at width 180.  Under it no exp or row sum
+# overflows and each row's largest entry stays a normal number, so
+# exp(A') runs unshifted; masked keys, A' + MASK_NEG, still give exactly
+# 0.  A NaN or inf bound, or a dtype other than float32 and float64,
+# keeps the max-shifted path (_softmax_needs_shift).  On both paths the
+# row sums are a BLAS product with a ones column, and each row is
+# multiplied by the reciprocal of its sum, in place of np.sum and a
+# divide.  The backward
+# forms its softmax row dot Σ_j(dg·A'·g) with one einsum instead of
+# writing the triple product and summing it (five passes, not six).
+# Channels stay unbatched: one plane fits in L2, the (c, n, n) stack
+# does not, and the whole-stack pass measured slower.
+#
 # Channels are independent and softmax rows reduce per row either way,
 # so the only deviations from the eager arithmetic are re-associations
-# (the order of the pooled additions, the 1/9 riding on the weights, the
-# factored softmax/⊙ adjoint): ≈1e-16 relative rounding in float64,
-# inside the ≤1e-8 parity budget but not bitwise.  Patterns are matched
-# conservatively (each intermediate consumed only inside the chain);
+# of the same algebra (the order of the pooled additions, the 1/9 riding
+# on the weights, the unshifted exp, the BLAS row sums and their
+# reciprocal, the factored softmax/⊙ adjoint and its einsum row dot):
+# ≈1e-16..1e-14 relative rounding in float64, inside the ≤1e-8 parity
+# budget but not bitwise.  Patterns are matched conservatively (each
+# intermediate consumed only inside the chain);
 # anything else — a conv without bias, a gate chain without its conv, a
 # ⊙ feeding something other than the channel mean — replays as the
 # generic per-op kernels.
@@ -1439,9 +1470,47 @@ def _scaled_weights(weight: np.ndarray, bias: np.ndarray,
     return fill
 
 
+def _gate_bound(a: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                madd: np.ndarray | None) -> float:
+    """Upper bound on |A' [+ mask]| for the gate softmax: B =
+    max_ch(max|A|·Σ_k|W_ch,k| + |b_ch|) (see the block comment), raised
+    by the mask's largest entry and by minus the smallest of its
+    per-item key maxima.  NaN or inf when any operand is."""
+    peak = max(a.max(), -a.min())
+    channels = weight.shape[0]
+    per_channel = (np.abs(weight).reshape(channels, 9).sum(axis=1) * peak
+                   + np.abs(bias))
+    bound = float(per_channel.max())
+    if madd is not None:
+        bound += float(max(madd.max(), -madd.max(axis=-1).min()))
+    return bound
+
+
+def _unshifted_exp_limit(width: int, dtype) -> float:
+    """Largest B with width·e^B ≤ finfo.max / 2 and e^-B ≥ finfo.tiny:
+    softmax rows of ``width`` entries bounded by B in absolute value need
+    no max shift.  -inf for dtypes other than float32 and float64."""
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        return -np.inf
+    info = np.finfo(dtype)
+    return min(math.log(float(info.max) / (2.0 * width)),
+               -math.log(float(info.tiny)))
+
+
+def _softmax_needs_shift(bound: float, width: int, dtype) -> bool:
+    """Whether the gate softmax must subtract its row max: unless
+    0 ≤ ``bound`` ≤ the limit, which a NaN or ±inf bound fails."""
+    return not 0.0 <= bound <= _unshifted_exp_limit(width, dtype)
+
+
 def _fused_region_forward(fusion: _RegionFusion, scratch,
                           inference: bool = False):
     """Forward kernel of a whole RegionSA chain (see the block comment).
+
+    Each replay bounds |A'| from max|A| and the conv weights; under the
+    limit each channel's softmax runs exp, a BLAS row sum against a ones
+    column and a multiply by its reciprocal, and over it (or at a NaN or
+    inf bound) the row max and the subtract come first.
 
     Training plans keep A' and the gate in the pool and softmax nodes'
     buffers and the pooled taps in a per-chain buffer, all read by the
@@ -1473,27 +1542,34 @@ def _fused_region_forward(fusion: _RegionFusion, scratch,
         scratch[id(fusion.conv)] = taps
     taps2 = taps.reshape(lead + (10, height * width))
     corr2 = corr.reshape(lead + (channels, height * width))
-    scaled_weights = _scaled_weights(w_t.data, b_t.data, scratch)
+    weight, bias = w_t.data, b_t.data
+    scaled_weights = _scaled_weights(weight, bias, scratch)
     madd = fusion.mask.data[..., 0, :, :] if fusion.mask is not None else None
     out = fusion.scale.data
     factor = fusion.scale._prev[1].data
     tmp = _lease(scratch, plane, dt, "region_t1")
     red = _lease(scratch, lead + (height, 1), dt, "region_red")
+    ones = np.ones((width, 1), dt)
     planes = [(corr[..., ch, :, :], gc) for ch, gc in enumerate(gates)]
 
     def run():
         build_taps()
         np.matmul(scaled_weights(), taps2, out=corr2)
+        shift = _softmax_needs_shift(
+            _gate_bound(a, weight, bias, madd), width, dt)
         for ch, (cc, gc) in enumerate(planes):
             scores = cc
             if madd is not None:
                 np.add(cc, madd, out=gc)
                 scores = gc
-            np.amax(scores, axis=-1, keepdims=True, out=red)
-            np.subtract(scores, red, out=gc)
-            np.exp(gc, out=gc)
-            np.sum(gc, axis=-1, keepdims=True, out=red)
-            np.divide(gc, red, out=gc)
+            if shift:
+                np.amax(scores, axis=-1, keepdims=True, out=red)
+                np.subtract(scores, red, out=gc)
+                scores = gc
+            np.exp(scores, out=gc)
+            np.matmul(gc, ones, out=red)         # row sums on BLAS
+            np.reciprocal(red, out=red)
+            np.multiply(gc, red, out=gc)
             if ch == 0:
                 np.multiply(cc, gc, out=out)
             else:
@@ -1507,10 +1583,11 @@ def _fused_region_backward(fusion: _RegionFusion, grads, written, scratch):
     """Backward kernel of a whole RegionSA chain.
 
     Each channel's softmax/⊙ adjoint reads the (n, n) mean gradient
-    directly — no broadcast (c, n, n) gradient, no sum backward — and
-    writes dA' into leased scratch; then [dW | db] = dA'·Qᵀ / 9 and dA is
-    the tap builder's adjoint of Wᵀ·dA' / 9.  ``_mark`` runs in the
-    generic conv kernel's edge order (weight, bias, input)."""
+    directly — no broadcast (c, n, n) gradient, no sum backward — forms
+    its row dot Σ_j(dg·A'·g) with one ``einsum`` over dg·A' and the
+    gate, and writes dA' into leased scratch; then [dW | db] = dA'·Qᵀ / 9
+    and dA is the tap builder's adjoint of Wᵀ·dA' / 9.  ``_mark`` runs in
+    the generic conv kernel's edge order (weight, bias, input)."""
     x_t, w_t, b_t = fusion.conv._prev
     corr, gate = fusion.pool.data, fusion.gate.data
     taps = scratch[id(fusion.conv)]
@@ -1523,8 +1600,8 @@ def _fused_region_backward(fusion: _RegionFusion, grads, written, scratch):
     hw = height * width
     dg = _lease(scratch, plane, dt, "region_dg")
     t1 = _lease(scratch, plane, dt, "region_t1")
-    t2 = _lease(scratch, plane, dt, "region_t2")
     red = _lease(scratch, lead + (height, 1), dt, "region_red")
+    rowdot = red[..., 0]
     dcorr = _lease(scratch, corr.shape, dt, "region_dcorr")
     dcorr2 = dcorr.reshape(lead + (channels, hw))
     planes = [(corr[..., ch, :, :], gate[..., ch, :, :], dcorr[..., ch, :, :])
@@ -1573,8 +1650,7 @@ def _fused_region_backward(fusion: _RegionFusion, grads, written, scratch):
         np.multiply(g_out, factor, out=dg)
         for cc, gc, dc in planes:
             np.multiply(dg, cc, out=t1)          # ⊙ adjoint toward the gate
-            np.multiply(t1, gc, out=t2)
-            np.sum(t2, axis=-1, keepdims=True, out=red)
+            np.einsum("...ij,...ij->...i", t1, gc, out=rowdot)
             np.subtract(t1, red, out=t1)         # softmax adjoint ...
             np.add(t1, dg, out=t1)               # ... plus ⊙'s toward A'
             np.multiply(gc, t1, out=dc)

@@ -432,8 +432,9 @@ class _ScriptedServer:
                 conn, _ = self._sock.accept()
             except OSError:
                 return
-            with conn:
-                rfile = conn.makefile("rb")
+            # The file object holds its own reference to the socket, so
+            # it must close too or the client never sees EOF on "drop".
+            with conn, conn.makefile("rb") as rfile:
                 if script == "drop":
                     if rfile.readline():
                         self.requests_seen += 1
